@@ -7,15 +7,13 @@ parameter gathers, `InteractionCache`/`Workspace` reuse) is inherited
 verbatim, so cache hits, rebuild boundaries and multi-species staging
 behave identically across backends by construction.
 
-Two strategies supply the machine code:
+Two strategies:
 
 - ``cext``  — the C kernel in ``_tersoff.c``, built at first use with
   the host toolchain (see :mod:`repro.backends.cext`);
-- ``numba`` — :func:`repro.backends.loops.tersoff_eval_loops` jitted by
-  Numba when no C compiler is present but the ``compiled`` extra is
-  installed;
-- ``python`` — the interpreted loop body; test-only oracle, selectable
-  via ``REPRO_COMPILED_STRATEGY=python``.
+- ``python`` — :func:`repro.backends.loops.tersoff_eval_loops`, the
+  interpreted loop body; test-only oracle, selectable via
+  ``REPRO_COMPILED_STRATEGY=python``.
 
 Per-staging buffers (packed parameter blocks, scratch, outputs) are
 allocated once in ``build_staging`` — the cache-miss path — so steady-
@@ -25,8 +23,8 @@ energy, stress and the accumulate-dtype round-through stay in numpy on
 the kernel's per-element outputs, reusing the exact reduction code of
 the numpy backend (same pairwise-summation behaviour, same einsum).
 
-Engine preparation (C build/load or JIT compile) happens lazily on the
-first ``evaluate`` of each kernel instance and is reported as
+Engine preparation (the C build/load) happens lazily on the first
+``evaluate`` of each kernel instance and is reported as
 ``timing.warmup_s`` so `StageTimers` can attribute it to the
 ``warmup`` stage instead of polluting ``pair``/kernel medians.
 """
@@ -35,21 +33,19 @@ from __future__ import annotations
 
 import os
 import time
-from importlib.util import find_spec
 
 import numpy as np
 
 from repro.analysis import hot_path
 from repro.backends import cext
 from repro.backends.base import BackendUnavailableError
+from repro.backends.loops import tersoff_eval_loops
 from repro.core.pipeline import PairData, Staging
 from repro.core.tersoff.kernels import PROD_PAIR_FIELDS, PROD_TRIPLET_FIELDS
 from repro.core.tersoff.production import TersoffKernel
 from repro.md.potential import ForceResult
 
-STRATEGIES = ("cext", "numba", "python")
-
-_NUMBA_JIT = None  # process-wide jitted loops (compiled once per dtype signature)
+STRATEGIES = ("cext", "python")
 
 
 def pick_strategy() -> str:
@@ -61,36 +57,16 @@ def pick_strategy() -> str:
                 f"REPRO_COMPILED_STRATEGY={forced!r}; expected one of {STRATEGIES}"
             )
         return forced
-    if cext.probe() is None:
+    reason = cext.probe()
+    if reason is None:
         return "cext"
-    if find_spec("numba") is not None:
-        return "numba"
-    raise BackendUnavailableError(
-        "compiled backend needs a C toolchain or numba; neither is available"
-    )
-
-
-def _loops_callable(strategy: str):
-    from repro.backends import loops
-
-    if strategy == "python":
-        return loops.tersoff_eval_loops
-    global _NUMBA_JIT
-    if _NUMBA_JIT is None:
-        import numba
-
-        # per-process JIT cache; workers re-ensure their own engine and
-        # hit numba's disk cache after the first build
-        _NUMBA_JIT = numba.njit(cache=True, fastmath=False)(  # repro-lint: disable=KC003
-            loops.tersoff_eval_loops
-        )
-    return _NUMBA_JIT
+    raise BackendUnavailableError(f"compiled backend needs a C toolchain: {reason}")
 
 
 class CompiledTersoffKernel(TersoffKernel):
     """Tersoff computational part dispatched to compiled machine code.
 
-    Holds no ctypes/numba state itself — engine handles live in module
+    Holds no ctypes state itself — engine handles live in module
     caches — so instances deepcopy/pickle cleanly into parallel-engine
     workers; each worker process re-ensures its own engine (a disk-cache
     hit after the first build).
@@ -152,27 +128,6 @@ class CompiledTersoffKernel(TersoffKernel):
     def _ensure_engine(self) -> None:
         if self.strategy == "cext":
             cext.load()
-            return
-        fn = _loops_callable(self.strategy)
-        if self.strategy == "numba":
-            cd = self.precision.compute_dtype
-            # prime the JIT on empty arrays of the real signature so
-            # compile time lands in warmup, not in the first MD step
-            zi = np.zeros(0, dtype=np.int64)
-            zf = np.zeros(0, dtype=np.float64)
-            zc = np.zeros(0, dtype=cd)
-            fn(
-                np.zeros((0, 3), dtype=cd), zc, zi, zi,
-                np.zeros((0, 3), dtype=cd), zc, zi, zi, zi,
-                np.zeros((12, 0), dtype=cd), np.zeros((7, 0), dtype=cd), zf,
-                zf, np.zeros((0, 8), dtype=cd), zc,
-                np.zeros((0, 3), dtype=np.float64), np.zeros((0, 3), dtype=np.float64),
-                zc, np.zeros((0, 3), dtype=np.float64),
-                np.zeros((0, 3), dtype=np.float64), np.zeros((0, 3), dtype=np.float64),
-                np.zeros((0, 3), dtype=np.float64), zf,
-                np.zeros((3, 3), dtype=np.float64), np.zeros((3, 3), dtype=np.float64),
-                np.zeros((3, 3), dtype=np.float64),
-            )
 
     # ---- the compiled computational part --------------------------------
 
@@ -215,8 +170,7 @@ class CompiledTersoffKernel(TersoffKernel):
                 buf["stress_k"].ctypes.data,
             )
         else:
-            loops_fn = _loops_callable(self.strategy)
-            loops_fn(
+            tersoff_eval_loops(
                 pairs.d.astype(cd, copy=False), pairs.r.astype(cd, copy=False),
                 buf["ii"], buf["jj"],
                 kcand.d.astype(cd, copy=False), kcand.r.astype(cd, copy=False),

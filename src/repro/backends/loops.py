@@ -1,14 +1,10 @@
-"""Loop-form Tersoff computational part (the Numba strategy's body).
+"""Loop-form Tersoff computational part (the ``python`` strategy).
 
 A straight transliteration of the C kernel in ``_tersoff_impl.h`` into
-per-interaction Python loops over the same staging buffers.  Two ways
-to run it:
-
-- jitted by Numba when the ``compiled`` extra is installed (strategy
-  ``numba`` — used when the host has no C toolchain);
-- interpreted, as a slow but dependency-free oracle: the test suite
-  runs it on tiny systems to pin the loop algorithm against the numpy
-  kernel independently of any compiler.
+per-interaction Python loops over the same staging buffers.  It runs
+interpreted, as a slow but dependency-free oracle: the test suite runs
+it on tiny systems to pin the loop algorithm against the numpy kernel
+independently of any compiler.
 
 Geometry arrays arrive pre-cast to the compute dtype; accumulator
 arrays (``zeta``, ``forces``, scatter scratch, per-atom energy) are
@@ -16,8 +12,7 @@ float64, so in-place ``+=`` reproduces the numpy kernel's
 "accumulate in double" discipline.  In double precision the Python
 float literals below *are* the compute dtype, so the interpreted form
 tracks the C kernel exactly; in single precision literal promotion
-(and, under Numba, float32->float64 intermediate promotion) lands
-within the single/mixed tolerance contract — the double path is what
+lands within the single/mixed tolerance contract — the double path is what
 the hard equivalence battery pins (DESIGN.md §12).
 
 Scatter/accumulation order is identical to the numpy kernel's

@@ -568,11 +568,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--backend", choices=("numpy", "compiled"), default=None,
                        help="compute backend for the Tersoff Opt-* production path "
                             "(default: numpy; 'compiled' falls back with a warning "
-                            "when no toolchain/numba is available)")
+                            "when no C toolchain is available)")
     p_run.add_argument("--skin", type=float, default=1.0)
     p_run.add_argument("--seed", type=int, default=2016)
     p_run.add_argument("--workers", type=int, default=None,
-                       help="run forces on a persistent N-process shared-memory pool")
+                       help="run forces on a persistent pool of N workers")
     p_run.add_argument("--ranks", type=int, default=None,
                        help="domain-decomposition size for --workers (default: workers); "
                             "the physics depends only on ranks, never on workers")

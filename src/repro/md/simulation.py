@@ -127,14 +127,12 @@ class Simulation:
         optimization; permutes accumulation order, so leave off when
         bitwise equality with the serial path matters).
     executor:
-        Execution backend for the pool: ``"serial"``, ``"fork"``,
-        ``"spawn"``, ``"forkserver"``, ``"process"``, or an
+        Execution backend for the pool: ``"serial"``, ``"thread"``,
+        ``"fork"``, ``"spawn"``, ``"forkserver"``, ``"process"``,
+        ``"tcp"``, ``"unix"``, or an
         :class:`~repro.parallel.executor.EngineExecutor` instance
         (default: process pool via fork where available).  Bitwise
         identical physics across executors.
-    start_method:
-        Back-compat alias for ``executor="<method>"`` (default: fork
-        where available).
     """
 
     def __init__(
@@ -149,7 +147,6 @@ class Simulation:
         ranks: int | None = None,
         sort: bool = False,
         executor=None,
-        start_method: str | None = None,
     ):
         self.system = system
         self.potential = potential
@@ -179,7 +176,6 @@ class Simulation:
                 ),
                 sort=sort,
                 executor=executor,
-                start_method=start_method,
             )
 
     @property

@@ -8,7 +8,7 @@ positions and (because full neighbor lists accumulate forces onto
 ghosts) reverse-communicate ghost forces back to their owners.
 
 This module reproduces that structure in sequential-SPMD form; the
-shared-memory execution engine (:mod:`repro.parallel.engine`) runs the
+parallel execution engine (:mod:`repro.parallel.engine`) runs the
 same ranks concurrently.  The distributed energy/force computation is
 exact: each rank evaluates the potential with the i-loop restricted to
 owned atoms, so summing rank energies and reverse-adding ghost forces

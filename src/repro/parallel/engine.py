@@ -1,11 +1,12 @@
-"""Shared-memory parallel execution engine for the decomposed Tersoff path.
+"""Parallel execution engine for the decomposed Tersoff path.
 
 The paper's evaluation (Sec. VI, Figs. 5/8/9) and its journal follow-up
 make multi-threaded strong scaling the headline claim; this module is
-the repository's real (not modeled) counterpart: a persistent
-``multiprocessing`` worker pool that executes the ranks of a
+the repository's real (not modeled) counterpart: a persistent worker
+pool (threads, processes or socket-connected ranks, see
+:mod:`repro.parallel.executor`) that executes the ranks of a
 :class:`~repro.parallel.decomposition.DomainDecomposition`
-concurrently on one node.
+concurrently.
 
 Architecture
 ------------
@@ -14,18 +15,14 @@ Architecture
   long-lived local :class:`~repro.md.neighbor.NeighborList` and its own
   potential instance — so the PR-2 interaction cache and workspace
   persist across steps and cache hits survive parallel execution.
-- **Ghost-only data plane.**  The host gathers each rank's owned+ghost
-  positions (``local_idx`` rows, typically a small multiple of
-  ``n/ranks``) and each rank returns only its local force slab — never
-  the full ``(n, 3)`` arrays.  Three transports carry that traffic:
-  shared-memory slabs (``halo_only=True``, the default: one
-  ``(ranks, n, 3)`` position block written sparsely), the legacy full
-  ``(n, 3)`` position broadcast (``halo_only=False``, kept as the
-  bandwidth contrast measured by ``parallel/halo-bytes``), and the
-  *wire* mode engaged automatically when the executor declares
-  ``wire_data_plane`` (the socket :class:`ClusterExecutor`): ghost
-  positions travel in the step payload and owned-force slabs in the
-  reply, so a multi-host step moves only halo-sized messages.
+- **One ghost-only data plane.**  The host gathers each rank's
+  owned+ghost positions (``local_idx`` rows, typically a small multiple
+  of ``n/ranks``) into the ``"step"`` payload, and each rank returns
+  only its local force slab in the reply — never the full ``(n, 3)``
+  arrays.  This is the same on every executor, as it is for LAMMPS'
+  MPI ranks whether or not they share a node: in-process executors
+  pass the blocks by reference, the process pool pickles them through
+  its pipes, the cluster pool frames them over sockets.
 - **Deterministic reduction.**  The host merges per-rank force blocks
   with :meth:`DomainDecomposition.reduce_forces` (fixed rank order,
   input-order scatters) and sums rank energies in rank order, so for a
@@ -38,11 +35,10 @@ Architecture
   neighbor-list rebuilds — and the new index sets are shipped to the
   workers; between rebuilds only positions flow.
 
-Failure containment: a worker exception is caught in the worker,
+Failure containment: a worker exception (or a dead worker) is caught,
 reported with its traceback, and surfaced on the host as
-:class:`WorkerCrash`; the pool is then shut down and both shared-memory
-segments unlinked (no orphaned ``/dev/shm`` files — tested via
-attach-after-close).
+:class:`WorkerCrash`; the pool is then shut down with no worker process
+left behind (tested).
 """
 
 from __future__ import annotations
@@ -100,41 +96,21 @@ class _RankState:
 
 
 @hot_path(reason="per-worker per-step evaluation; reuses persistent lists/caches")
-def _step_ranks(
-    states: dict,
-    box: Box,
-    *,
-    X: np.ndarray | None = None,
-    XL: np.ndarray | None = None,
-    F: np.ndarray | None = None,
-    xblocks: dict | None = None,
-) -> list[dict]:
+def _step_ranks(states: dict, box: Box, xblocks: dict) -> list[dict]:
     """Evaluate every rank owned by this worker.
 
-    Position sources, in priority order: ``xblocks[rank]`` (wire mode —
-    the ghost-region block arrived in the step payload), ``XL[rank]``
-    (halo-only shared slab, already gathered by the host), ``X`` (legacy
-    full broadcast, gathered here via ``local_idx``).  Each is a plain
-    elementwise copy into the rank's persistent position array, so all
-    three feed the kernel bit-identical coordinates.
-
-    Reuses the persistent neighbor list via the skin criterion (rebuild
-    + ghost-row blanking only when needed, or when a new decomposition
-    forced it), runs the potential, and writes the local force block
-    into the rank's shared-memory slab — or, in wire mode (``F is
-    None``), attaches it to the stats dict for the reply message.
+    ``xblocks[rank]`` is the rank's owned+ghost position block from the
+    step payload, copied elementwise into the rank's persistent position
+    array.  Reuses the persistent neighbor list via the skin criterion
+    (rebuild + ghost-row blanking only when needed, or when a new
+    decomposition forced it), runs the potential, and returns the local
+    force block in the rank's stats dict for the reply.
     """
     out = []
     for rank in sorted(states):
         st = states[rank]
         t0 = time.perf_counter()
-        m_local = st.local_idx.shape[0]
-        if xblocks is not None:
-            st.system.x[...] = xblocks[rank]
-        elif XL is not None:
-            st.system.x[...] = XL[rank, :m_local]
-        else:
-            np.take(X, st.local_idx, axis=0, out=st.system.x)
+        st.system.x[...] = xblocks[rank]
         if st.force_rebuild:
             st.neigh.build(st.system.x, box)
             rebuilt = True
@@ -146,9 +122,6 @@ def _step_ranks(
         t1 = time.perf_counter()
         res = st.potential.compute(st.system, st.neigh)
         t2 = time.perf_counter()
-        m = res.forces.shape[0]
-        if F is not None:
-            F[rank, :m, :] = res.forces
         timing = res.stats.get("timing", {})
         staging = min(max(float(timing.get("staging_s", 0.0)), 0.0), t2 - t1)
         warmup = min(max(float(timing.get("warmup_s", 0.0)), 0.0), (t2 - t1) - staging)
@@ -156,7 +129,7 @@ def _step_ranks(
             "rank": rank,
             "energy": res.energy,
             "virial": res.virial,
-            "n_local": m,
+            "n_local": res.forces.shape[0],
             "rebuilt": rebuilt,
             "neighbor_s": t1 - t0,
             "staging_s": staging,
@@ -165,12 +138,11 @@ def _step_ranks(
             "total_s": t2 - t0,
             "cache": res.stats.get("cache"),
             "pairs_in_cutoff": res.stats.get("pairs_in_cutoff"),
+            # the force slab travels back in the reply.  Safe without a
+            # copy: the host reduces it (or the pool transmits it) before
+            # this rank's workspace is touched again.
+            "forces": res.forces,
         }
-        if F is None:
-            # wire reply: the force slab travels back in the message.
-            # Safe to send without copying — the serve loop transmits
-            # the reply before this rank's workspace is touched again.
-            info["forces"] = res.forces
         out.append(info)
     return out
 
@@ -178,29 +150,21 @@ def _step_ranks(
 class WorkerHost:
     """One worker's long-lived state, commands served via :meth:`handle`.
 
-    This is the executor-agnostic half of the old worker loop: it owns
-    the per-rank states and the views into the shared position/force
-    arrays, and knows nothing about pipes, processes or shared-memory
-    lifecycle — :mod:`repro.parallel.executor` supplies those.  With
-    the :class:`~repro.parallel.executor.SerialExecutor` these hosts
-    simply live in the engine's own process.
+    This is the executor-agnostic half of the worker loop: it owns the
+    per-rank states and knows nothing about threads, pipes or sockets —
+    :mod:`repro.parallel.executor` supplies those.  With the
+    :class:`~repro.parallel.executor.SerialExecutor` these hosts simply
+    live in the engine's own process.
     """
 
     def __init__(
         self,
-        arrays: dict,
         box: Box,
         mass: np.ndarray,
         species: tuple,
         potential: Potential,
         settings: NeighborSettings,
     ):
-        # whichever data plane the engine chose: "x" (full broadcast),
-        # "xl" (halo-only slabs), or neither (wire mode — positions and
-        # forces travel in the step messages themselves)
-        self.X = arrays.get("x")
-        self.XL = arrays.get("xl")
-        self.F = arrays.get("f")
         self.box = box
         self.mass = mass
         self.species = species
@@ -212,9 +176,7 @@ class WorkerHost:
         if cmd == "ranks":
             return self._set_ranks(payload)
         if cmd == "step":
-            xblocks = None if payload is None else payload.get("x")
-            return _step_ranks(self.states, self.box, X=self.X, XL=self.XL,
-                               F=self.F, xblocks=xblocks)
+            return _step_ranks(self.states, self.box, payload["x"])
         if cmd == "listrefs":
             # checkpoint support: each rank's last list-build positions,
             # so a restart can rebuild the *same* list
@@ -274,16 +236,14 @@ class _HostFactory:
     therefore pickle — the same contract the engine always had.
     """
 
-    n_atoms: int
-    n_ranks: int
     box: Box
     mass: np.ndarray
     species: tuple
     potential: Potential
     settings: NeighborSettings
 
-    def __call__(self, arrays) -> WorkerHost:
-        return WorkerHost(arrays, self.box, self.mass, self.species,
+    def __call__(self) -> WorkerHost:
+        return WorkerHost(self.box, self.mass, self.species,
                           self.potential, self.settings)
 
 
@@ -300,12 +260,11 @@ class EngineStep:
     ``kernel_s`` critical-path components.
 
     Traffic accounting (bytes of position/force payload this step):
-    ``bytes_forward`` is what the active data plane actually moved to
-    the workers (ghost-region rows for halo-only and wire modes, the
-    full broadcast for the legacy plane), ``bytes_reverse`` the local
-    force slabs that came back, and ``bytes_forward_full`` the
-    counterfactual full-broadcast cost (``workers * n * 24``) the
-    halo-only plane is measured against.  ``bytes_wire`` is the
+    ``bytes_forward`` is the ghost-region position rows moved to the
+    workers, ``bytes_reverse`` the local force slabs that came back, and
+    ``bytes_forward_full`` the closed-form cost of broadcasting the full
+    ``(n, 3)`` positions to every worker (``workers * n * 24``), which
+    the ghost-only plane is measured against.  ``bytes_wire`` is the
     ``(sent, received)`` socket byte delta for this step when the
     executor exposes a wire (framing overhead included), else ``None``.
     ``comm`` is the step's *measured* :class:`CommRecord` (forward and
@@ -339,9 +298,10 @@ class ParallelEngine:
     potential:
         Template potential; each worker holds one private copy per
         assigned rank (so interaction caches never alias).  Must be
-        picklable when ``start_method="spawn"``.
+        picklable for the ``"spawn"``/``"forkserver"`` and socket
+        executors.
     workers:
-        Number of worker processes (clamped to ``ranks``).
+        Number of workers (clamped to ``ranks``).
     ranks:
         Decomposition size (default: ``workers``).  The physics result
         depends only on ``ranks`` (and ``sort``), never on ``workers``.
@@ -370,15 +330,6 @@ class ParallelEngine:
         remote hosts.  Default: process pool via fork where available.
         The physics is bitwise identical across executors — they only
         move where the rank evaluations run.
-    start_method:
-        Back-compat alias for ``executor="<method>"``; ``fork`` where
-        available (fast, nothing pickled), else ``spawn``.
-    halo_only:
-        Shared-memory data plane choice: ``True`` (default) stages only
-        each rank's owned+ghost position rows into a per-rank slab;
-        ``False`` keeps the legacy full ``(n, 3)`` broadcast.  Bitwise
-        identical either way (measured by ``parallel/halo-bytes``).
-        Ignored by wire executors, which are always ghost-only.
     """
 
     def __init__(
@@ -392,8 +343,6 @@ class ParallelEngine:
         sort: bool = False,
         grid: tuple[int, int, int] | None = None,
         executor: "str | EngineExecutor | None" = None,
-        start_method: str | None = None,
-        halo_only: bool = True,
     ):
         if workers < 1:
             raise EngineError("need at least one worker")
@@ -425,42 +374,17 @@ class ParallelEngine:
         self._comm_samples: list = []  # repro-lint: disable=KD001
         self._closed = False
 
-        n = system.n
         try:
-            self._exec = make_executor(
-                executor, workers=self.workers, start_method=start_method)
+            self._exec = make_executor(executor, workers=self.workers)
         except ExecutorError as exc:
             raise EngineError(str(exc)) from exc
         # a ready-made executor fixes the pool size; follow it (still
         # never more submit targets than ranks)
         self.workers = min(self._exec.workers, ranks)
-        self.halo_only = bool(halo_only)
-        # wire executors (sockets) carry positions/forces in the step
-        # messages themselves; no shared arrays at all.
-        self._wire = bool(getattr(self._exec, "wire_data_plane", False))
-        if self._wire:
-            specs = {}
-        elif self.halo_only:
-            specs = {"xl": ((ranks, n, 3), "float64"),
-                     "f": ((ranks, n, 3), "float64")}
-        else:
-            specs = {"x": ((n, 3), "float64"), "f": ((ranks, n, 3), "float64")}
-        views = self._exec.start(
-            _HostFactory(
-                n_atoms=n, n_ranks=ranks, box=system.box,
-                mass=system.mass.copy(), species=system.species,
-                potential=potential, settings=self.settings,
-            ),
-            specs,
-        )
-        # per-call staging in executor shared memory: repopulated from the
-        # caller's positions on every compute(), never persistent state
-        self._X = views.get("x")  # repro-lint: disable=KD001
-        self._XL = views.get("xl")  # repro-lint: disable=KD001
-        # wire mode: host-local reduction buffer, filled from replies
-        self._F = views.get("f")  # repro-lint: disable=KD001
-        if self._F is None:
-            self._F = np.zeros((ranks, n, 3), dtype=np.float64)
+        self._exec.start(_HostFactory(
+            box=system.box, mass=system.mass.copy(), species=system.species,
+            potential=potential, settings=self.settings,
+        ))
         self._local_rows = 0  # repro-lint: disable=KD001
         self._wire_prev = (0, 0)  # repro-lint: disable=KD001
 
@@ -543,45 +467,26 @@ class ParallelEngine:
         if redecomposed:
             self._decompose(x)
         t1 = time.perf_counter()
-        if self._wire:
-            # ghost-only wire payload: each worker gets just the position
-            # rows its ranks own (plus ghosts), keyed by rank
-            blocks: list[dict] = [{} for _ in range(self.workers)]
-            for dom in self._dd.domains:
-                blocks[self._worker_of(dom.rank)][dom.rank] = np.take(
-                    x, dom.local_idx, axis=0)
-            futs = [self._submit(w, "step", {"x": blocks[w]})
-                    for w in range(self.workers)]
-        elif self.halo_only:
-            # ghost-only shared-memory staging: write each rank's
-            # owned+ghost rows into its slab, nothing else
-            for dom in self._dd.domains:
-                m = dom.local_idx.shape[0]
-                np.take(x, dom.local_idx, axis=0, out=self._XL[dom.rank, :m])
-            futs = [self._submit(w, "step") for w in range(self.workers)]
-        else:
-            self._X[:] = x
-            futs = [self._submit(w, "step") for w in range(self.workers)]
+        # ghost-only payload: each worker gets just the position rows its
+        # ranks own (plus ghosts), keyed by rank
+        blocks: list[dict] = [{} for _ in range(self.workers)]
+        for dom in self._dd.domains:
+            blocks[self._worker_of(dom.rank)][dom.rank] = np.take(x, dom.local_idx, axis=0)
+        futs = [self._submit(w, "step", {"x": blocks[w]}) for w in range(self.workers)]
         t2 = time.perf_counter()
         per_worker = [self._result(w, fut) for w, fut in enumerate(futs)]
         t3 = time.perf_counter()
         per_rank = sorted(itertools.chain.from_iterable(per_worker), key=lambda r: r["rank"])
-        if self._wire:
-            # owned-force slabs came back in the replies; land them in the
-            # host-local reduction buffer exactly where the shared-memory
-            # planes would have written them
-            for info in per_rank:
-                fr = info.pop("forces")
-                self._F[info["rank"], : fr.shape[0], :] = fr
-        # fixed rank-order reduction — the determinism contract: same
-        # association as the sequential DomainDecomposition path.
+        # fixed rank-order reduction of the owned-force slabs from the
+        # replies — the determinism contract: same association as the
+        # sequential DomainDecomposition path.
         energy = 0.0
         virial = 0.0
         for info in per_rank:
             energy += info["energy"]
             virial += info["virial"]
         forces = self._dd.reduce_forces(
-            [self._F[rank] for rank in range(self.ranks)],
+            [info.pop("forces") for info in per_rank],
             out=self._ws.buf("forces", (self.system.n, 3), np.float64),
         )
         t4 = time.perf_counter()
@@ -613,13 +518,8 @@ class ParallelEngine:
             self.rebuild_steps += 1
 
         # -- measured traffic accounting --
-        n = self.system.n
-        bytes_full = self.workers * n * 24  # full (n,3) float64 broadcast
-        bytes_reverse = self._local_rows * 24
-        if self._wire or self.halo_only:
-            bytes_forward = self._local_rows * 24
-        else:
-            bytes_forward = bytes_full
+        bytes_full = self.workers * self.system.n * 24  # full (n,3) float64 broadcast
+        bytes_forward = bytes_reverse = self._local_rows * 24
         bytes_wire = None
         wire_fn = getattr(self._exec, "wire_bytes", None)
         if wire_fn is not None:
@@ -791,7 +691,7 @@ class ParallelEngine:
         return self._closed
 
     def close(self) -> None:
-        """Shut the executor down (pool + shared memory).  Idempotent."""
+        """Shut the executor down.  Idempotent."""
         if self._closed:
             return
         self._closed = True

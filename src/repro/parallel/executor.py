@@ -1,46 +1,45 @@
 """Executor abstraction behind :class:`~repro.parallel.engine.ParallelEngine`.
 
-The engine used to own its worker-pool plumbing (fork/spawn processes,
-pipes, shared-memory lifecycle) directly.  This module factors that
-plumbing behind one small, ``concurrent.futures``-shaped interface so
-serial in-process execution and process pools with either start method
-are interchangeable — the engine talks to an :class:`EngineExecutor`
-and never to ``multiprocessing`` itself.
+The engine talks to an :class:`EngineExecutor` and never to
+``multiprocessing`` or sockets itself, so serial in-process execution,
+threads, process pools and socket clusters are interchangeable.  There
+is one data plane on every executor: a rank's owned+ghost position rows
+travel in the ``"step"`` payload and its owned-force slab comes back in
+the reply.  In-process executors pass those arrays by reference; the
+process pool pickles them through its pipes; the cluster pool frames
+them over sockets.
 
 The protocol (three methods):
 
-- ``start(host_factory, array_specs)`` — allocate the named shared
-  arrays, stand up ``workers`` hosts (``host_factory(arrays)`` builds
-  one from its side's views), and return the caller-side views.
+- ``start(host_factory)`` — stand up ``workers`` hosts, each built by
+  calling ``host_factory()`` on the side that will run it.
 - ``submit(worker, cmd, payload)`` — dispatch one command to one
   worker's host; returns a :class:`concurrent.futures.Future` whose
   ``result()`` is the host's return value, or raises
-  :class:`WorkerFailure` carrying the remote traceback.
+  :class:`WorkerFailure` carrying the remote traceback.  A dead worker
+  is a :class:`WorkerFailure` too, never a raw OS error.
 - ``shutdown()`` — tear everything down; idempotent, also runs via a
   ``weakref.finalize`` safety net so dropped executors never leak
-  processes or ``/dev/shm`` segments.
+  processes.
 
 Four implementations:
 
 - :class:`SerialExecutor` — hosts live in this process, ``submit``
   executes synchronously and returns an already-resolved future.  No
-  shared memory, no pickling requirements; this is also what makes the
-  engine runnable where ``multiprocessing`` is unavailable or unwanted.
-- :class:`ThreadExecutor` — one persistent thread per worker, hosts
-  sharing the process's arrays by reference.  Useful when the kernel
-  releases the GIL (the compiled C backend does): rank evaluations then
-  overlap without any process or serialization cost.
-- :class:`ProcessExecutor` — one process per worker (``fork`` or
-  ``spawn``), duplex pipes for control messages, and
-  ``multiprocessing.shared_memory`` for the named arrays, so bulk data
-  never crosses a pipe.  Futures are lazy: replies are drained from the
-  pipe in FIFO order when ``result()`` is first called.
+  pickling requirements; this is also what makes the engine runnable
+  where ``multiprocessing`` is unavailable or unwanted.
+- :class:`ThreadExecutor` — one persistent thread per worker, hosts in
+  this process.  Useful when the kernel releases the GIL (the compiled
+  C backend does): rank evaluations then overlap without any process
+  or serialization cost.
+- :class:`ProcessExecutor` — one process per worker (``fork``,
+  ``spawn`` or ``forkserver``) and a duplex pipe per worker.  Futures
+  are lazy: replies are drained from the pipe in FIFO order when
+  ``result()`` is first called.
 - :class:`~repro.parallel.transport.ClusterExecutor` — workers behind
-  framed TCP/unix sockets (possibly on other hosts); it additionally
-  sets ``wire_data_plane = True``, telling the engine to ship only
-  ghost positions and owned-force slabs instead of sharing arrays.
+  framed TCP/unix sockets (possibly on other hosts).
 
-Ordering guarantee (both implementations): commands submitted to the
+Ordering guarantee (all implementations): commands submitted to the
 same worker execute in submission order; there is no cross-worker
 ordering.
 """
@@ -48,20 +47,11 @@ ordering.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import traceback
-import uuid
 import weakref
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Callable, Mapping, Protocol, runtime_checkable
-
-import numpy as np
-
-#: array_specs value: (shape tuple, numpy dtype string)
-ArraySpec = tuple[tuple[int, ...], str]
+from typing import Callable, Protocol, runtime_checkable
 
 
 class ExecutorError(RuntimeError):
@@ -85,43 +75,27 @@ class EngineExecutor(Protocol):
 
     workers: int
 
-    def start(
-        self,
-        host_factory: Callable[[Mapping[str, np.ndarray]], object],
-        array_specs: Mapping[str, ArraySpec],
-    ) -> dict[str, np.ndarray]: ...
+    def start(self, host_factory: Callable[[], object]) -> None: ...
 
     def submit(self, worker: int, cmd: str, payload: object = None) -> Future: ...
 
     def shutdown(self) -> None: ...
 
 
-def make_executor(
-    spec: "str | EngineExecutor | None",
-    *,
-    workers: int,
-    start_method: str | None = None,
-) -> EngineExecutor:
+def make_executor(spec: "str | EngineExecutor | None", *, workers: int) -> EngineExecutor:
     """Resolve an executor spec (name, instance, or ``None``).
 
-    ``None`` keeps the historical default: a process pool using ``fork``
-    where available, else ``spawn`` — ``start_method`` (the engine's
-    back-compat parameter) selects the method explicitly.  Names:
-    ``"serial"``, ``"thread"``, ``"fork"``, ``"spawn"``,
-    ``"forkserver"``, ``"process"`` (= default start method), and
-    ``"tcp"`` / ``"unix"`` (a spawned socket-transport cluster pool,
-    see :class:`~repro.parallel.transport.ClusterExecutor`).
+    ``None`` and ``"process"`` select a process pool using ``fork``
+    where available, else ``spawn``.  Other names: ``"serial"``,
+    ``"thread"``, a start method (``"fork"``, ``"spawn"``,
+    ``"forkserver"``), and ``"tcp"`` / ``"unix"`` (a spawned
+    socket-transport cluster pool, see
+    :class:`~repro.parallel.transport.ClusterExecutor`).
     """
     if spec is not None and not isinstance(spec, str):
-        if start_method is not None:
-            raise ExecutorError("pass start_method only with a named executor, not an instance")
         return spec
     if spec is None or spec == "process":
-        return ProcessExecutor(workers, start_method=start_method)
-    if start_method is not None and spec != start_method:
-        raise ExecutorError(
-            f"conflicting executor selection: executor={spec!r} vs start_method={start_method!r}"
-        )
+        return ProcessExecutor(workers)
     if spec == "serial":
         return SerialExecutor(workers)
     if spec == "thread":
@@ -158,15 +132,10 @@ class SerialExecutor:
         self.workers = int(workers)
         self._hosts: list | None = None
 
-    def start(self, host_factory, array_specs):
+    def start(self, host_factory) -> None:
         if self._hosts is not None:
             raise ExecutorError("executor already started")
-        arrays = {
-            name: np.zeros(shape, dtype=np.dtype(dtype))
-            for name, (shape, dtype) in array_specs.items()
-        }
-        self._hosts = [host_factory(arrays) for _ in range(self.workers)]
-        return arrays
+        self._hosts = [host_factory() for _ in range(self.workers)]
 
     def submit(self, worker: int, cmd: str, payload: object = None) -> Future:
         if self._hosts is None:
@@ -188,7 +157,7 @@ class SerialExecutor:
 
 
 class ThreadExecutor:
-    """One persistent thread per worker, arrays shared by reference.
+    """One persistent thread per worker, payloads passed by reference.
 
     Each worker gets its own single-thread
     :class:`~concurrent.futures.ThreadPoolExecutor`, which preserves the
@@ -197,7 +166,7 @@ class ThreadExecutor:
     release the GIL — the compiled C Tersoff backend does (its ctypes
     call drops the GIL for the whole force loop), so
     ``repro run --workers N --executor thread --backend compiled`` scales
-    without any process, pickling or shared-memory cost.  With the
+    without any process or pickling cost.  With the
     pure-numpy backend the threads mostly serialize on the GIL; the
     physics is bitwise identical either way (each rank still owns a
     private potential copy, and the host reduction is rank-ordered).
@@ -210,21 +179,16 @@ class ThreadExecutor:
         self._hosts: list | None = None
         self._pools: list | None = None
 
-    def start(self, host_factory, array_specs):
+    def start(self, host_factory) -> None:
         from concurrent.futures import ThreadPoolExecutor
 
         if self._hosts is not None:
             raise ExecutorError("executor already started")
-        arrays = {
-            name: np.zeros(shape, dtype=np.dtype(dtype))
-            for name, (shape, dtype) in array_specs.items()
-        }
-        self._hosts = [host_factory(arrays) for _ in range(self.workers)]
+        self._hosts = [host_factory() for _ in range(self.workers)]
         self._pools = [
             ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"repro-exec-{w}")
             for w in range(self.workers)
         ]
-        return arrays
 
     def submit(self, worker: int, cmd: str, payload: object = None) -> Future:
         if self._pools is None:
@@ -252,19 +216,9 @@ class ThreadExecutor:
 # ---------------------------------------------------------------------------
 
 
-def _process_worker_main(conn, host_factory, shm_layout) -> None:
-    """Worker loop: attach shared arrays, build the host, serve commands.
-
-    ``shm_layout`` is ``[(array_name, shm_name, shape, dtype_str), ...]``.
-    The host side owns the segments; workers only attach and close.
-    """
-    segments = []
-    arrays = {}
-    for array_name, shm_name, shape, dtype in shm_layout:
-        shm = shared_memory.SharedMemory(name=shm_name)
-        segments.append(shm)
-        arrays[array_name] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-    host = host_factory(arrays)
+def _process_worker_main(conn, host_factory) -> None:
+    """Worker loop: build the host, serve commands until ``__exit__``/EOF."""
+    host = host_factory()
     try:
         while True:
             cmd, payload = conn.recv()
@@ -280,15 +234,10 @@ def _process_worker_main(conn, host_factory, shm_layout) -> None:
         close = getattr(host, "close", None)
         if close is not None:
             close()
-        # drop every view into the segments before closing them: a live
-        # exported buffer would make SharedMemory.close() raise
-        del host, close, arrays
-        for shm in segments:
-            shm.close()
 
 
-def _cleanup_pool(procs, conns, shms) -> None:
-    """Finalizer: stop workers, close pipes, unlink shared memory."""
+def _cleanup_pool(procs, conns) -> None:
+    """Finalizer: stop workers, close pipes."""
     for conn in conns:
         try:
             conn.send(("__exit__", None))
@@ -303,12 +252,6 @@ def _cleanup_pool(procs, conns, shms) -> None:
         try:
             conn.close()
         except OSError:  # pragma: no cover
-            pass
-    for shm in shms:
-        try:
-            shm.close()
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
             pass
 
 
@@ -340,16 +283,8 @@ class _ChannelFuture(Future):
         return super().exception(timeout)
 
 
-@dataclass
-class _Segment:
-    name: str
-    shm: shared_memory.SharedMemory
-    shape: tuple
-    dtype: str
-
-
 class ProcessExecutor:
-    """One persistent process per worker, shared-memory data plane.
+    """One persistent process per worker, payloads pickled through pipes.
 
     Parameters
     ----------
@@ -376,33 +311,20 @@ class ProcessExecutor:
         self._conns: list = []
         self._procs: list = []
         self._pending: list[deque] = []
-        self._segments: list[_Segment] = []
         self._started = False
         self._shutdown = False
         self._finalizer = None
 
-    def start(self, host_factory, array_specs):
+    def start(self, host_factory) -> None:
         if self._started:
             raise ExecutorError("executor already started")
         ctx = mp.get_context(self.start_method)
-        token = uuid.uuid4().hex[:12]
-        views: dict[str, np.ndarray] = {}
         try:
-            for array_name, (shape, dtype) in array_specs.items():
-                nbytes = max(int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize, 8)
-                shm = shared_memory.SharedMemory(
-                    create=True, size=nbytes,
-                    name=f"repro_exec_{os.getpid()}_{token}_{array_name}")
-                self._segments.append(_Segment(array_name, shm, tuple(shape), str(dtype)))
-                view = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf)
-                view[...] = 0
-                views[array_name] = view
-            layout = [(s.name, s.shm.name, s.shape, s.dtype) for s in self._segments]
             for w in range(self.workers):
                 host_conn, worker_conn = ctx.Pipe(duplex=True)
                 proc = ctx.Process(
                     target=_process_worker_main,
-                    args=(worker_conn, host_factory, layout),
+                    args=(worker_conn, host_factory),
                     daemon=True,
                     name=f"repro-exec-{w}",
                 )
@@ -412,18 +334,26 @@ class ProcessExecutor:
                 self._procs.append(proc)
                 self._pending.append(deque())
         except Exception:
-            _cleanup_pool(self._procs, self._conns, [s.shm for s in self._segments])
+            _cleanup_pool(self._procs, self._conns)
             raise
         self._started = True
-        self._finalizer = weakref.finalize(
-            self, _cleanup_pool, self._procs, self._conns,
-            [s.shm for s in self._segments])
-        return views
+        self._finalizer = weakref.finalize(self, _cleanup_pool, self._procs, self._conns)
 
     def submit(self, worker: int, cmd: str, payload: object = None) -> Future:
         if not self._started or self._shutdown:
             raise ExecutorError("executor not started (or shut down)")
-        self._conns[worker].send((cmd, payload))
+        try:
+            self._conns[worker].send((cmd, payload))
+        except OSError as exc:  # BrokenPipeError, ConnectionResetError, ...
+            # the worker has exited: resolve what it answered before it
+            # died, fail everything else queued on it, and fail this
+            # command's future the same way
+            pending = self._pending[worker]
+            if pending:
+                self._drain_until(worker, pending[-1])
+            fut = Future()
+            fut.set_exception(WorkerFailure(worker, f"worker process died: {exc!r}"))
+            return fut
         fut = _ChannelFuture(self, worker)
         self._pending[worker].append(fut)
         return fut
@@ -437,7 +367,7 @@ class ProcessExecutor:
             head = pending.popleft()
             try:
                 status, value = self._conns[worker].recv()
-            except (EOFError, ConnectionResetError) as exc:
+            except (EOFError, OSError) as exc:
                 failure = WorkerFailure(worker, f"worker process died: {exc!r}")
                 head.set_exception(failure)
                 # everything queued behind a dead worker fails too
@@ -456,4 +386,4 @@ class ProcessExecutor:
         self._shutdown = True
         if self._finalizer is not None:
             self._finalizer.detach()
-        _cleanup_pool(self._procs, self._conns, [s.shm for s in self._segments])
+        _cleanup_pool(self._procs, self._conns)

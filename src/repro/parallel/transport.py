@@ -2,13 +2,11 @@
 exchange under the :class:`~repro.parallel.executor.EngineExecutor`
 protocol.
 
-The shared-memory engine (:mod:`repro.parallel.engine`) moves bulk data
-through ``multiprocessing.shared_memory`` — which only works on one
-host.  This module supplies the multi-node counterpart: ranks run in
-separate processes (same host or not) connected by length-prefixed,
-CRC-framed messages over TCP or unix-domain sockets, and the engine
-ships **only ghost-region positions and owned-force slabs** across the
-wire instead of broadcasting the full ``(n, 3)`` position array.
+Ranks run in separate processes (same host or not) connected by
+length-prefixed, CRC-framed messages over TCP or unix-domain sockets.
+The engine's step messages carry the same payloads here as on every
+other executor: each rank's ghost-region positions go out, its
+owned-force slab comes back.
 
 Wire format
 -----------
@@ -49,8 +47,6 @@ import time
 import traceback
 import weakref
 from collections import deque
-
-import numpy as np
 
 from repro.parallel.executor import ExecutorError, WorkerFailure, _ChannelFuture
 from repro.state.format import (
@@ -183,9 +179,9 @@ class FramedConnection:
 def serve_worker_connection(conn: FramedConnection) -> None:
     """Serve one engine session on an established connection.
 
-    Protocol: the host sends ``("__init__", {worker, factory, specs})``;
-    the worker allocates its local arrays, builds the host object, acks,
-    then serves ``(cmd, payload)`` messages until ``__exit__``/EOF.
+    Protocol: the host sends ``("__init__", {worker, factory})``; the
+    worker builds the host object with ``factory()``, acks, then serves
+    ``(cmd, payload)`` messages until ``__exit__``/EOF.
     ``__ping__`` echoes its payload (calibration RTTs) without touching
     the host object.
     """
@@ -197,11 +193,7 @@ def serve_worker_connection(conn: FramedConnection) -> None:
         raise TransportError(f"expected __init__ handshake, got {kind!r}")
     host = None
     try:
-        arrays = {
-            name: np.zeros(tuple(shape), dtype=np.dtype(dtype))
-            for name, (shape, dtype) in body["specs"].items()
-        }
-        host = body["factory"](arrays)
+        host = body["factory"]()
     except Exception:
         conn.send(("error", traceback.format_exc()))
         return
@@ -320,7 +312,7 @@ def _cleanup_cluster(conns, procs, listeners, paths) -> None:
 
 
 class ClusterExecutor:
-    """:class:`EngineExecutor` over framed sockets — the wire data plane.
+    """:class:`EngineExecutor` over framed sockets.
 
     Two deployment modes:
 
@@ -333,15 +325,9 @@ class ClusterExecutor:
       ``repro worker`` processes already listening at ``host:port``
       addresses (one worker per address) — the actual multi-host mode.
 
-    Unlike the shared-memory executors, ``start`` allocates *host-local*
-    plain arrays (the engine's staging/reduction buffers); workers
-    allocate their own from the same specs.  The engine detects
-    ``wire_data_plane`` and switches to ghost-only step payloads with
-    owned-force-slab replies, so per step only halo-sized messages
-    cross the sockets.
+    Per step only halo-sized messages cross the sockets: the engine's
+    ghost-only step payloads and owned-force-slab replies.
     """
-
-    wire_data_plane = True
 
     def __init__(
         self,
@@ -379,24 +365,16 @@ class ClusterExecutor:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def start(self, host_factory, array_specs):
+    def start(self, host_factory) -> None:
         if self._started:
             raise ExecutorError("executor already started")
-        views = {
-            name: np.zeros(tuple(shape), dtype=np.dtype(dtype))
-            for name, (shape, dtype) in array_specs.items()
-        }
         try:
             if self.hosts:
                 self._connect_listeners()
             else:
                 self._spawn_pool()
-            specs = {name: (tuple(shape), str(dtype))
-                     for name, (shape, dtype) in array_specs.items()}
             for w, conn in enumerate(self._conns):
-                conn.send(("__init__", {
-                    "worker": w, "factory": host_factory, "specs": specs,
-                }))
+                conn.send(("__init__", {"worker": w, "factory": host_factory}))
             for w, conn in enumerate(self._conns):
                 msg = conn.recv()
                 if msg is CLOSED:
@@ -412,7 +390,6 @@ class ClusterExecutor:
         self._finalizer = weakref.finalize(
             self, _cleanup_cluster, self._conns, self._procs, [],
             self._cleanup_paths())
-        return views
 
     def _cleanup_paths(self) -> list[str]:
         if self._tmpdir is None:

@@ -418,7 +418,7 @@ register(BenchCase(
 ))
 
 
-# ---- md/step-*-workers-* : the shared-memory parallel engine ----------------
+# ---- md/step-*-workers-* : the parallel engine -------------------------------
 # One full timestep of a 2048-atom system decomposed into a FIXED 4-rank
 # grid, executed by 1/2/4 worker processes.  Because the decomposition
 # is fixed, all three cases compute bitwise-identical physics — the only
@@ -536,36 +536,27 @@ register(BenchCase(
 ))
 
 
-# Ghost-only vs full-broadcast traffic on the same step: the engine's
-# two shared-memory data planes on one workload.  The deterministic
-# byte metrics are the point (the halo-only plane must stay well under
-# the broadcast's workers*n*24); the timed thunk measures both planes'
-# host staging cost.  8 ranks on the serial executor: no process cost,
-# and enough surface-to-volume for the ghost regions to matter without
-# dominating.
+# Ghost-only traffic against the full-broadcast closed form on one
+# engine step.  The deterministic byte metrics are the point: the
+# ghost-only rows the engine ships must stay well under the
+# ``workers*n*24`` it would take to broadcast the positions; the timed
+# thunk measures the step with its host staging.  8 ranks on the serial
+# executor: no process cost, and enough surface-to-volume for the ghost
+# regions to matter without dominating.
 
 def _halo_bytes_setup() -> Callable[[], Any]:
     from repro.parallel.engine import ParallelEngine
 
     params, system = _parallel_workload()
-    engines = [
-        ParallelEngine(system, _prod(params), workers=8, ranks=8,
-                       executor="serial", halo_only=halo)
-        for halo in (True, False)
-    ]
-
-    def both_planes():
-        return [eng.compute(system.x) for eng in engines]
-
-    return both_planes
+    engine = ParallelEngine(system, _prod(params), workers=8, ranks=8, executor="serial")
+    return lambda: engine.compute(system.x)
 
 
-def _halo_bytes_metrics(steps) -> dict:
-    halo, full = steps
+def _halo_bytes_metrics(step) -> dict:
     return {
-        "bytes_halo": float(halo.bytes_forward),
-        "bytes_full": float(full.bytes_forward),
-        "reduction": float(full.bytes_forward / halo.bytes_forward),
+        "bytes_halo": float(step.bytes_forward),
+        "bytes_full": float(step.bytes_forward_full),
+        "reduction": float(step.bytes_forward_full / step.bytes_forward),
     }
 
 
@@ -573,10 +564,7 @@ register(BenchCase(
     name="parallel/halo-bytes",
     setup=_halo_bytes_setup,
     metrics=_halo_bytes_metrics,
-    extra=lambda steps: {
-        "bytes_reverse": steps[0].bytes_reverse,
-        "energy_match": steps[0].energy == steps[1].energy,
-    },
+    extra=lambda step: {"bytes_reverse": step.bytes_reverse},
 ))
 
 

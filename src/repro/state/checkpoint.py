@@ -309,7 +309,6 @@ def restore_simulation(
     *,
     workers: int | None = None,
     executor=None,
-    start_method: str | None = None,
 ):
     """Rebuild a :class:`~repro.md.simulation.Simulation` from `ck`.
 
@@ -347,7 +346,6 @@ def restore_simulation(
             ranks=int(engine_meta["ranks"]),
             sort=bool(engine_meta["sort"]),
             executor=executor,
-            start_method=start_method,
         )
         if engine_meta.get("warm"):
             rank_refs: dict[int, np.ndarray | None] = {

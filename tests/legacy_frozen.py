@@ -42,7 +42,7 @@ from repro.core.tersoff.kernels import (
     gather_flat,
 )
 from repro.core.tersoff.parameters import FlatParams, TersoffParams
-from repro.core.tersoff.prepare import (
+from repro.core.pipeline.topology import (
     PairData,
     TripletData,
     build_pairs,

@@ -31,7 +31,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 COMPILED_AVAILABLE = backends.is_available("compiled")
 needs_compiled = pytest.mark.skipif(
-    not COMPILED_AVAILABLE, reason="compiled backend unavailable (no C toolchain or numba)"
+    not COMPILED_AVAILABLE, reason="compiled backend unavailable (no C toolchain)"
 )
 
 # ---- documented equivalence bounds (DESIGN.md §12, measured with margin) ----
@@ -152,16 +152,13 @@ class TestRegistry:
             backends._REGISTRY.pop("test-strict", None)
 
     def test_compiled_unavailable_env_gate(self):
-        """REPRO_NO_CEXT + no numba must leave compiled probed-unavailable
+        """REPRO_NO_CEXT must leave compiled probed-unavailable
         and --backend compiled degrading to numpy with a warning (fresh
         process: the cext module caches its probe result)."""
         code = (
             "import warnings, repro.backends as b\n"
             "from repro.core.tersoff.parameters import tersoff_si\n"
             "from repro.core.tersoff.production import TersoffProduction\n"
-            "import importlib.util\n"
-            "if importlib.util.find_spec('numba') is not None:\n"
-            "    print('SKIP'); raise SystemExit(0)\n"
             "assert b.available()['compiled'] is not None\n"
             "with warnings.catch_warnings(record=True) as w:\n"
             "    warnings.simplefilter('always')\n"
@@ -177,7 +174,7 @@ class TestRegistry:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() in ("OK", "SKIP")
+        assert out.stdout.strip() == "OK"
 
 
 class TestDefaultPathUnchanged:

@@ -42,9 +42,6 @@ SKIN = 1.0
 
 
 class _EchoHost:
-    def __init__(self, arrays):
-        self.arrays = arrays
-
     def handle(self, cmd, payload):
         if cmd == "echo":
             return payload
@@ -58,8 +55,8 @@ class _EchoHost:
 class EchoFactory:
     """Module-level so it pickles across the socket handshake."""
 
-    def __call__(self, arrays):
-        return _EchoHost(arrays)
+    def __call__(self):
+        return _EchoHost()
 
 
 def _shm_segments():
@@ -74,7 +71,7 @@ def _shm_segments():
 @pytest.fixture(params=["tcp", "unix"])
 def cluster2(request):
     ex = ClusterExecutor(2, transport=request.param)
-    ex.start(EchoFactory(), {"scratch": ((4,), "float64")})
+    ex.start(EchoFactory())
     yield ex
     ex.shutdown()
 
@@ -103,7 +100,7 @@ class TestClusterExecutorConformance:
 
     def test_shutdown_idempotent_then_submit_refused(self):
         ex = ClusterExecutor(2, transport="tcp")
-        ex.start(EchoFactory(), {})
+        ex.start(EchoFactory())
         ex.shutdown()
         ex.shutdown()  # second call is a no-op, not an error
         with pytest.raises(ExecutorError):
@@ -294,7 +291,7 @@ class TestCrashContainment:
     def test_kill_one_rank_is_contained(self):
         shm_before = _shm_segments()
         ex = ClusterExecutor(2, transport="unix")
-        ex.start(EchoFactory(), {})
+        ex.start(EchoFactory())
         tmpdir = ex._tmpdir
         assert tmpdir is not None
         assert os.path.exists(os.path.join(tmpdir, "cluster.sock"))
@@ -358,7 +355,7 @@ class TestNetworkFit:
 
     def test_calibrate_measures_a_positive_fabric(self):
         ex = ClusterExecutor(1, transport="unix")
-        ex.start(EchoFactory(), {})
+        ex.start(EchoFactory())
         try:
             net = ex.calibrate(sizes=(1 << 10, 1 << 14), repeats=2)
             assert net.latency_s >= 0.0

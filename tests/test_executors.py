@@ -1,10 +1,11 @@
 """EngineExecutor conformance: one contract, many implementations.
 
 Every executor (serial, thread pool, fork-pool, spawn-pool) must satisfy identical
-semantics — named shared arrays visible on both sides, per-worker FIFO
-ordering, host exceptions surfaced as :class:`WorkerFailure` carrying
-the remote traceback, idempotent shutdown — so the parallel engine's
-physics cannot depend on which one is plugged in.
+semantics — arrays carried bitwise in payloads and replies, per-worker
+FIFO ordering, host exceptions (and dead workers) surfaced as
+:class:`WorkerFailure` carrying the remote traceback, idempotent
+shutdown — so the parallel engine's physics cannot depend on which one
+is plugged in.
 """
 
 import multiprocessing as mp
@@ -29,8 +30,7 @@ HAVE_FORK = "fork" in mp.get_all_start_methods()
 class EchoHost:
     """Minimal host exercising every conformance axis."""
 
-    def __init__(self, arrays):
-        self.arrays = arrays
+    def __init__(self):
         self.calls = 0
 
     def handle(self, cmd, payload):
@@ -39,12 +39,6 @@ class EchoHost:
             return (payload, self.calls)
         if cmd == "boom":
             raise ValueError("intentional kaboom")
-        if cmd == "write":
-            slot, value = payload
-            self.arrays["data"][slot] = value
-            return None
-        if cmd == "read":
-            return float(self.arrays["data"][payload])
         if cmd == "pid":
             return os.getpid()
         if cmd == "die":  # simulate a hard crash (no reply ever comes)
@@ -55,8 +49,8 @@ class EchoHost:
 class EchoFactory:
     """Module-level factory: picklable, as the spawn pool requires."""
 
-    def __call__(self, arrays):
-        return EchoHost(arrays)
+    def __call__(self):
+        return EchoHost()
 
 
 EXECUTORS = ["serial", "thread", "spawn"] + (["fork"] if HAVE_FORK else [])
@@ -64,33 +58,26 @@ EXECUTORS = ["serial", "thread", "spawn"] + (["fork"] if HAVE_FORK else [])
 
 @pytest.fixture(params=EXECUTORS)
 def started(request):
-    """(executor, caller-side views) for each implementation, started
-    with two workers and one 4-slot shared array."""
+    """Each implementation, started with two workers."""
     if request.param == "serial":
         ex = SerialExecutor(2)
     elif request.param == "thread":
         ex = ThreadExecutor(2)
     else:
         ex = ProcessExecutor(2, start_method=request.param)
-    views = ex.start(EchoFactory(), {"data": ((4,), "float64")})
-    yield ex, views
+    ex.start(EchoFactory())
+    yield ex
     ex.shutdown()
 
 
 class TestConformance:
     def test_satisfies_protocol(self, started):
-        ex, _ = started
+        ex = started
         assert isinstance(ex, EngineExecutor)
         assert ex.workers == 2
 
-    def test_views_shape_dtype_zeroed(self, started):
-        _, views = started
-        assert set(views) == {"data"}
-        assert views["data"].shape == (4,) and views["data"].dtype == np.float64
-        assert np.all(views["data"] == 0.0)
-
     def test_echo_roundtrip(self, started):
-        ex, _ = started
+        ex = started
         value, calls = ex.submit(0, "echo", {"k": [1, 2]}).result()
         assert value == {"k": [1, 2]}
         assert calls == 1
@@ -98,7 +85,7 @@ class TestConformance:
     def test_per_worker_fifo_ordering(self, started):
         """Commands execute in submission order even when the caller
         collects the futures in reverse."""
-        ex, _ = started
+        ex = started
         futs = [ex.submit(0, "echo", i) for i in range(5)]
         last_payload, last_calls = futs[-1].result()  # drains everything before it
         assert (last_payload, last_calls) == (4, 5)
@@ -107,26 +94,23 @@ class TestConformance:
             assert fut.result() == (i, i + 1)
 
     def test_host_state_is_per_worker(self, started):
-        ex, _ = started
+        ex = started
         ex.submit(0, "echo").result()
         ex.submit(0, "echo").result()
         _, calls_w1 = ex.submit(1, "echo").result()
         assert calls_w1 == 1  # worker 1's host never saw worker 0's commands
 
-    def test_shared_array_worker_to_caller(self, started):
-        ex, views = started
-        ex.submit(0, "write", (1, 4.5)).result()
-        ex.submit(1, "write", (2, -7.25)).result()
-        assert views["data"][1] == 4.5 and views["data"][2] == -7.25
-
-    def test_shared_array_caller_to_worker(self, started):
-        ex, views = started
-        views["data"][3] = 9.125
-        assert ex.submit(0, "read", 3).result() == 9.125
-        assert ex.submit(1, "read", 3).result() == 9.125
+    def test_array_payload_roundtrip_bitwise(self, started):
+        """Arrays reach the worker in the payload and come back in the
+        reply bit for bit — the engine's one data plane."""
+        ex = started
+        arr = np.array([np.nan, -0.0, 5e-324, 1.0 / 3.0])
+        out, _ = ex.submit(1, "echo", {"x": arr}).result()
+        assert out["x"].dtype == np.float64
+        assert out["x"].tobytes() == arr.tobytes()
 
     def test_host_exception_becomes_worker_failure(self, started):
-        ex, _ = started
+        ex = started
         fut = ex.submit(1, "boom")
         with pytest.raises(WorkerFailure, match="intentional kaboom") as exc_info:
             fut.result()
@@ -136,25 +120,25 @@ class TestConformance:
         assert ex.submit(1, "echo", "still alive").result()[0] == "still alive"
 
     def test_exception_accessor(self, started):
-        ex, _ = started
+        ex = started
         exc = ex.submit(0, "boom").exception()
         assert isinstance(exc, WorkerFailure)
 
     def test_submit_after_shutdown_raises(self, started):
-        ex, _ = started
+        ex = started
         ex.shutdown()
         with pytest.raises(ExecutorError):
             ex.submit(0, "echo")
 
     def test_shutdown_idempotent(self, started):
-        ex, _ = started
+        ex = started
         ex.shutdown()
         ex.shutdown()
 
     def test_start_twice_raises(self, started):
-        ex, _ = started
+        ex = started
         with pytest.raises(ExecutorError):
-            ex.start(EchoFactory(), {"data": ((4,), "float64")})
+            ex.start(EchoFactory())
 
 
 class TestProcessSpecific:
@@ -162,7 +146,7 @@ class TestProcessSpecific:
     def test_work_runs_out_of_process(self, method):
         ex = ProcessExecutor(1, start_method=method)
         try:
-            ex.start(EchoFactory(), {"data": ((1,), "float64")})
+            ex.start(EchoFactory())
             assert ex.submit(0, "pid").result() != os.getpid()
         finally:
             ex.shutdown()
@@ -171,7 +155,7 @@ class TestProcessSpecific:
         method = "fork" if HAVE_FORK else "spawn"
         ex = ProcessExecutor(2, start_method=method)
         try:
-            ex.start(EchoFactory(), {"data": ((1,), "float64")})
+            ex.start(EchoFactory())
             dead = ex.submit(0, "die")
             queued = ex.submit(0, "echo", "never")
             with pytest.raises(WorkerFailure, match="worker process died"):
@@ -183,10 +167,32 @@ class TestProcessSpecific:
         finally:
             ex.shutdown()
 
+    def test_submit_to_exited_worker_is_worker_failure(self):
+        """Sending to a worker whose process has already exited yields
+        the typed failure, not the pipe's OS error, and fails the
+        worker's queued future with it."""
+        method = "fork" if HAVE_FORK else "spawn"
+        ex = ProcessExecutor(2, start_method=method)
+        try:
+            ex.start(EchoFactory())
+            dead = ex.submit(0, "die")
+            ex._procs[0].join(timeout=30.0)
+            assert not ex._procs[0].is_alive()
+            with pytest.raises(WorkerFailure, match="worker process died"):
+                ex.submit(0, "echo", "never").result()
+            assert dead.done()
+            with pytest.raises(WorkerFailure, match="worker process died"):
+                dead.result()
+            with pytest.raises(WorkerFailure):  # and it stays failed
+                ex.submit(0, "echo", "again").result()
+            assert ex.submit(1, "echo", "ok").result()[0] == "ok"
+        finally:
+            ex.shutdown()
+
     def test_serial_runs_in_process(self):
         ex = SerialExecutor(1)
         try:
-            ex.start(EchoFactory(), {"data": ((1,), "float64")})
+            ex.start(EchoFactory())
             assert ex.submit(0, "pid").result() == os.getpid()
         finally:
             ex.shutdown()
@@ -194,7 +200,7 @@ class TestProcessSpecific:
     def test_thread_runs_in_process(self):
         ex = ThreadExecutor(1)
         try:
-            ex.start(EchoFactory(), {"data": ((1,), "float64")})
+            ex.start(EchoFactory())
             assert ex.submit(0, "pid").result() == os.getpid()
         finally:
             ex.shutdown()
@@ -216,18 +222,6 @@ class TestMakeExecutor:
     def test_instance_passthrough(self):
         inst = SerialExecutor(3)
         assert make_executor(inst, workers=2) is inst
-
-    def test_instance_with_start_method_rejected(self):
-        with pytest.raises(ExecutorError, match="start_method"):
-            make_executor(SerialExecutor(1), workers=1, start_method="fork")
-
-    def test_conflicting_name_and_start_method_rejected(self):
-        with pytest.raises(ExecutorError, match="conflicting"):
-            make_executor("spawn", workers=1, start_method="forkserver")
-
-    def test_agreeing_name_and_start_method_ok(self):
-        ex = make_executor("spawn", workers=1, start_method="spawn")
-        assert isinstance(ex, ProcessExecutor) and ex.start_method == "spawn"
 
     def test_bad_worker_counts(self):
         with pytest.raises(ExecutorError):

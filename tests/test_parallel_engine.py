@@ -1,11 +1,12 @@
-"""The shared-memory parallel execution engine.
+"""The parallel execution engine.
 
 The contract under test (DESIGN.md §9): for a fixed decomposition
 (ranks/grid/sort) the engine's energy and forces are **bitwise
 identical** to the sequential rank-by-rank evaluation for *any* worker
 count, across precisions and species; per-worker interaction caches
 survive neighbor rebuilds; and the pool shuts down cleanly — including
-on worker crash — without orphaning shared-memory segments.
+on worker crash — without orphaning worker processes or ``/dev/shm``
+entries.
 """
 
 import copy
@@ -13,7 +14,6 @@ import glob
 
 import numpy as np
 import pytest
-from multiprocessing import shared_memory
 
 from repro.core.sw import StillingerWeberProduction, sw_silicon
 from repro.core.tersoff.parameters import tersoff_si, tersoff_sic
@@ -144,7 +144,7 @@ class TestBitwiseEquivalence:
         system = si_system()
         pot = TersoffProduction(tersoff_si(), cache=True)
         e_ref, f_ref = sequential_reference(system, pot, [system.x], ranks=2)[0]
-        with ParallelEngine(system, pot, workers=2, ranks=2, start_method="spawn") as eng:
+        with ParallelEngine(system, pot, workers=2, ranks=2, executor="spawn") as eng:
             step = eng.compute(system.x)
             assert step.energy == e_ref
             assert np.array_equal(step.forces, f_ref)
@@ -211,37 +211,33 @@ class ExplodingPotential(Potential):
         return ForceResult(energy=0.0, forces=np.zeros((system.n, 3), dtype=np.float64))
 
 
-def shm_names(eng):
-    """Shared-memory segment names of the engine's process executor."""
-    return [seg.shm.name for seg in eng._exec._segments]
+def shm_entries():
+    return set(glob.glob("/dev/shm/repro_exec*"))
 
 
 class TestLifecycle:
     def test_worker_crash_raises_and_cleans_up(self):
         system = si_system()
+        shm_before = shm_entries()
         eng = ParallelEngine(system, ExplodingPotential(), workers=2, ranks=2)
-        names = shm_names(eng)
         eng.compute(system.x)
         with pytest.raises(WorkerCrash, match="kaboom"):
             eng.compute(system.x + 0.6)  # forces redecomp + fresh compute
         assert eng.closed
-        for name in names:  # no orphaned segments (resource_tracker owns none)
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        assert not glob.glob(f"/dev/shm/{names[0]}") and not glob.glob(f"/dev/shm/{names[1]}")
+        for proc in eng._exec._procs:
+            assert not proc.is_alive()
+        assert shm_entries() <= shm_before  # nothing orphaned in /dev/shm
         with pytest.raises(EngineError):
             eng.compute(system.x)
 
     def test_close_is_idempotent_and_unlinks(self):
         system = si_system()
+        shm_before = shm_entries()
         eng = ParallelEngine(system, TersoffProduction(tersoff_si()), workers=2, ranks=2)
-        names = shm_names(eng)
         eng.compute(system.x)
         eng.close()
         eng.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert shm_entries() <= shm_before
         for proc in eng._exec._procs:
             assert not proc.is_alive()
 
@@ -352,25 +348,8 @@ class TestDecompositionSatellites:
 
 
 class TestGhostOnlyDataPlane:
-    """Satellite: the shared-memory engine ships only ghost-region
-    slabs by default, and the byte accounting proves it."""
-
-    def test_halo_only_matches_full_broadcast_bitwise(self):
-        system = si_system()
-        xs = drift_sequence(system)
-        results = {}
-        for halo_only in (True, False):
-            pot = TersoffProduction(tersoff_si(), cache=True)
-            with ParallelEngine(system.copy(), pot, workers=2, ranks=4,
-                                halo_only=halo_only) as eng:
-                results[halo_only] = [
-                    (st.energy, st.virial, st.forces.copy())
-                    for st in (eng.compute(x) for x in xs)
-                ]
-        for (e0, v0, f0), (e1, v1, f1) in zip(results[True], results[False]):
-            assert e0 == e1
-            assert v0 == v1
-            assert f0.tobytes() == f1.tobytes()
+    """Satellite: the engine ships only ghost-region slabs, and the
+    byte accounting proves it."""
 
     def test_forward_bytes_reduced_at_least_2x(self):
         # the halo-bytes bench contract: at 2048 atoms / 8 ranks the
@@ -378,16 +357,11 @@ class TestGhostOnlyDataPlane:
         system = perturbed(diamond_lattice(4, 4, 16), 0.05, seed=3)  # 2048
         pot = TersoffProduction(tersoff_si(), cache=True)
         with ParallelEngine(system.copy(), pot, workers=8, ranks=8,
-                            executor="serial", halo_only=True) as halo, \
-                ParallelEngine(system.copy(), pot, workers=8, ranks=8,
-                               executor="serial", halo_only=False) as full:
-            a = halo.compute(system.x)
-            b = full.compute(system.x)
-            assert a.energy == b.energy
-            assert np.array_equal(a.forces, b.forces)
-            assert b.bytes_forward == b.bytes_forward_full
-            assert a.bytes_forward < b.bytes_forward
-            assert b.bytes_forward / a.bytes_forward >= 2.0
+                            executor="serial") as eng:
+            step = eng.compute(system.x)
+            assert step.bytes_forward_full == 8 * system.n * 24
+            assert step.bytes_forward < step.bytes_forward_full
+            assert step.bytes_forward_full / step.bytes_forward >= 2.0
 
     def test_step_carries_measured_comm_record(self):
         system = si_system()
@@ -399,6 +373,6 @@ class TestGhostOnlyDataPlane:
             assert step.comm.bytes == step.bytes_forward + step.bytes_reverse
             assert step.comm.measured_time_s >= 0.0
             assert set(step.comm.by_stage) == {"forward", "reverse"}
-            # shared-memory executors have no wire, so no wire bytes
+            # the process pool counts no socket bytes, so no wire bytes
             assert step.bytes_wire is None
             assert eng.comm_total.messages == 2

@@ -173,6 +173,21 @@ class TestValidationTaxonomy:
             assert resp.status == 400
             assert body["error"]["code"] == "undecodable"
 
+    def test_http_non_json_content_type_is_protocol_error(self, server):
+        """JSON is the only codec: any other content type gets the typed
+        L0 protocol error, and stats advertise JSON alone."""
+        with ServeClient(server.address) as c:
+            conn = c._connection()
+            conn.request("POST", "/v1/evaluate", body=encode_payload(_request()),
+                         headers={"Content-Type": "application/msgpack"})
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            assert resp.status == 400
+            assert body["error"]["tier"] == "L0"
+            assert body["error"]["code"] == "undecodable"
+            assert "unsupported content type" in body["error"]["message"]
+            assert c.stats()["content_types"] == ["application/json"]
+
     def test_http_not_found(self, client):
         with pytest.raises(ServeError) as info:
             client._request("GET", "/v1/nope")
