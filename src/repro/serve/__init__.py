@@ -10,8 +10,9 @@ session (asserted in ``tests/test_serve.py`` and gated by the CI
 
 Layers, bottom up:
 
-- :mod:`repro.serve.protocol`  — the JSON wire format, bitwise float
-  round-trips;
+- :mod:`repro.serve.protocol`  — the wire formats: raw float64
+  buffers in the :mod:`repro.state.format` array layout (what the
+  client sends) and JSON (for debugging), both bitwise;
 - :mod:`repro.serve.validate`  — the L0-L3 request validation tiers;
 - :mod:`repro.serve.server`    — the HTTP server: bounded backpressure
   queue, single batching dispatcher over a

@@ -1,7 +1,10 @@
 """Stdlib client for the evaluation service (TCP and unix socket).
 
 One :class:`ServeClient` holds one keep-alive HTTP/1.1 connection —
-the load generator opens one per worker thread.  Addresses:
+the load generator opens one per worker thread.  Request bodies go out
+as ``application/x-repro-arrays`` (raw float64 buffers, see
+:mod:`repro.serve.protocol`); responses decode by their content type.
+Addresses:
 
 - ``"host:port"`` or ``"http://host:port"`` — TCP;
 - a filesystem path (contains ``/`` or exists) — AF_UNIX.
@@ -15,7 +18,7 @@ import socket
 import numpy as np
 
 from repro.serve.protocol import (
-    JSON_CONTENT_TYPE,
+    ARRAYS_CONTENT_TYPE,
     SERVE_SCHEMA_VERSION,
     decode_payload,
     encode_payload,
@@ -106,8 +109,8 @@ class ServeClient:
         body = None
         headers = {}
         if payload is not None:
-            body = encode_payload(payload, JSON_CONTENT_TYPE)
-            headers["Content-Type"] = JSON_CONTENT_TYPE
+            body = encode_payload(payload, ARRAYS_CONTENT_TYPE)
+            headers["Content-Type"] = ARRAYS_CONTENT_TYPE
         try:
             conn.request(method, path, body=body, headers=headers)
             resp = conn.getresponse()
@@ -134,6 +137,9 @@ class ServeClient:
         system:
             An :class:`~repro.md.atoms.AtomSystem` or an
             already-built system payload dict.
+
+        Returns the response envelope; its ``forces`` is an owned,
+        writable ``(n, 3)`` float64 array.
         """
         payload = {
             "schema": SERVE_SCHEMA_VERSION,

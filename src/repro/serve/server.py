@@ -43,6 +43,7 @@ from repro.serve.protocol import (
     content_types,
     decode_payload,
     encode_payload,
+    response_content_type,
 )
 from repro.serve.validate import DEFAULT_MAX_ATOMS, RequestError, validate_request
 
@@ -294,7 +295,7 @@ class EvalServer:
                     "schema": SERVE_SCHEMA_VERSION,
                     "energy": float(result.energy),
                     "virial": float(result.virial),
-                    "forces": copy_forces(result).tolist(),
+                    "forces": copy_forces(result),
                     "n": int(job.system.n),
                     "batch": {"index": i, "size": size},
                 }
@@ -334,16 +335,19 @@ def _make_handler(server: EvalServer):
         def log_message(self, fmt, *args):  # noqa: A003 - stdlib signature
             pass
 
-        def _send(self, status: int, obj: dict) -> None:
-            body = encode_payload(obj, JSON_CONTENT_TYPE)
+        def _send(self, status: int, obj: dict,
+                  content_type: str = JSON_CONTENT_TYPE) -> None:
+            body = encode_payload(obj, content_type)
             self.send_response(status)
-            self.send_header("Content-Type", JSON_CONTENT_TYPE)
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
 
-        def _send_error(self, status: int, err: dict) -> None:
-            self._send(status, {"schema": SERVE_SCHEMA_VERSION, "error": err})
+        def _send_error(self, status: int, err: dict,
+                        content_type: str = JSON_CONTENT_TYPE) -> None:
+            self._send(status, {"schema": SERVE_SCHEMA_VERSION, "error": err},
+                       content_type)
 
         def do_GET(self):  # noqa: N802 - stdlib casing
             if self.path == "/healthz":
@@ -355,9 +359,11 @@ def _make_handler(server: EvalServer):
                                        "message": f"no route {self.path}"})
 
         def do_POST(self):  # noqa: N802 - stdlib casing
+            ctype = self.headers.get("Content-Type", JSON_CONTENT_TYPE)
+            reply = response_content_type(ctype)
             if self.path != "/v1/evaluate":
                 self._send_error(404, {"tier": None, "code": "not_found",
-                                       "message": f"no route {self.path}"})
+                                       "message": f"no route {self.path}"}, reply)
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
@@ -365,10 +371,10 @@ def _make_handler(server: EvalServer):
                 length = -1
             if length < 0:
                 self._send_error(400, {"tier": "L0", "code": "bad_length",
-                                       "message": "missing/invalid Content-Length"})
+                                       "message": "missing/invalid Content-Length"},
+                                 reply)
                 return
             body = self.rfile.read(length)
-            ctype = self.headers.get("Content-Type", JSON_CONTENT_TYPE)
             with server.counters.lock:
                 server.counters.received += 1
             try:
@@ -377,7 +383,7 @@ def _make_handler(server: EvalServer):
                 with server.counters.lock:
                     server.counters.rejected_invalid += 1
                 self._send_error(400, {"tier": "L0", "code": "undecodable",
-                                       "message": str(exc)})
+                                       "message": str(exc)}, reply)
                 return
             try:
                 spec, system, tenant = validate_request(
@@ -387,7 +393,7 @@ def _make_handler(server: EvalServer):
             except RequestError as exc:
                 with server.counters.lock:
                     server.counters.rejected_invalid += 1
-                self._send_error(400, exc.as_dict())
+                self._send_error(400, exc.as_dict(), reply)
                 return
             job = _Job(spec, system, tenant)
             if not server.submit(job):
@@ -397,15 +403,15 @@ def _make_handler(server: EvalServer):
                     "tier": None, "code": "backpressure",
                     "message": f"queue full ({server.config.backlog} pending); "
                                "retry with backoff",
-                })
+                }, reply)
                 return
             if not job.event.wait(timeout=server.config.request_timeout):
                 self._send_error(504, {"tier": None, "code": "timeout",
-                                       "message": "evaluation timed out"})
+                                       "message": "evaluation timed out"}, reply)
                 return
             if job.error is not None:
-                self._send_error(500, job.error)
+                self._send_error(500, job.error, reply)
             else:
-                self._send(200, job.response)
+                self._send(200, job.response, reply)
 
     return Handler

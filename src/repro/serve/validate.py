@@ -11,11 +11,13 @@ tier      what it checks
 ``L0``    envelope schema: JSON object, schema version, required
           fields, a well-formed :class:`~repro.runtime.SolverSpec`
 ``L1``    shapes and dtypes: positions parse to ``(n, 3)`` float64,
-          type indices to ``(n,)`` ints, the box to two 3-vectors
+          type indices to ``(n,)`` ints, the box to two 3-vectors and
+          a list of 3 periodic flags, species to a list of symbols
 ``L2``    physical sanity: finite values, non-empty, size cap,
           positive box extent, type indices inside the species table
-``L3``    feasibility: the spec's cutoff (plus skin) fits the box
-          under the minimum-image convention
+``L3``    feasibility: the system's species table is the one the
+          spec's parameter set covers, and the spec's cutoff (plus
+          skin) fits the box under the minimum-image convention
 ========  ====================================================
 
 The tiers are ordered so that no numerical work touches data that has
@@ -107,9 +109,12 @@ def _l1_shapes(system_payload: dict):
     except (TypeError, ValueError) as exc:
         raise RequestError("L1", "bad_box",
                            f"box lo/hi must be 3-vectors: {exc}") from exc
-    periodic = box.get("periodic", (True, True, True))
-    if len(tuple(periodic)) != 3:
-        raise RequestError("L1", "bad_box", "box periodic must have 3 flags")
+    periodic = box.get("periodic", [True, True, True])
+    if not isinstance(periodic, (list, tuple)) or len(periodic) != 3 or not all(
+        isinstance(p, (bool, int)) for p in periodic
+    ):
+        raise RequestError("L1", "bad_box",
+                           f"box periodic must be a list of 3 flags, got {periodic!r}")
     types = system_payload.get("types")
     if types is not None:
         try:
@@ -123,10 +128,12 @@ def _l1_shapes(system_payload: dict):
         if t.shape != (x.shape[0],):
             raise RequestError("L1", "bad_types",
                                f"types must be ({x.shape[0]},), got {t.shape}")
-    species = system_payload.get("species", ("Si",))
-    if not all(isinstance(s, str) for s in species) or not len(tuple(species)):
+    species = system_payload.get("species", ["Si"])
+    if not isinstance(species, (list, tuple)) or not species or not all(
+        isinstance(s, str) and s for s in species
+    ):
         raise RequestError("L1", "bad_species",
-                           "species must be a non-empty list of symbols")
+                           f"species must be a non-empty list of symbols, got {species!r}")
     return x, lo, hi
 
 
@@ -154,17 +161,27 @@ def _l2_sanity(x, lo, hi, system_payload: dict, max_atoms: int):
                                f"type indices must lie in [0, {nspecies})")
 
 
-# memoized (spec → cutoff): tier L3 runs per request, parameter table
-# construction should not.  SolverSpec is frozen/hashable, so lru_cache
-# keys on it directly.
+# memoized (spec → cutoff, species): tier L3 runs per request,
+# parameter table construction should not.  SolverSpec is
+# frozen/hashable, so lru_cache keys on it directly.
 @lru_cache(maxsize=256)
-def _spec_cutoff(spec: SolverSpec) -> float:
-    return float(spec.cutoff())
+def _spec_limits(spec: SolverSpec) -> tuple[float, tuple[str, ...] | None]:
+    """The spec's force cutoff and the species table its parameter set
+    requires (``None`` when the family does not check species)."""
+    params = spec.build_params()
+    return float(spec.cutoff(params)), getattr(params, "species", None)
 
 
 def _l3_feasibility(spec: SolverSpec, system, skin: float):
-    """Tier L3: the spec's interaction range fits this box."""
-    cutoff = _spec_cutoff(spec)
+    """Tier L3: the spec's parameter set covers this system's species
+    and its interaction range fits this box."""
+    cutoff, species = _spec_limits(spec)
+    if species is not None and system.species != species:
+        raise RequestError(
+            "L3", "species_mismatch",
+            f"system species {list(system.species)} do not match the "
+            f"{spec.potential} parameter set's {list(species)}",
+        )
     try:
         system.box.check_cutoff(cutoff + skin)
     except ValueError as exc:

@@ -18,16 +18,21 @@ Frame layout (little-endian)::
     9       4     CRC32 of the stored bytes
     13      ...   stored bytes
 
-On top of frames, :func:`pack_arrays` / :func:`unpack_arrays` give a
-bit-exact numpy array codec: a JSON manifest (name, dtype, shape,
-byte length) followed by the concatenated raw buffers.  ``tobytes`` /
-``frombuffer`` round-trip every IEEE bit pattern, including NaN
-payloads, so checkpoint restore is bitwise by construction.
+On top of frames, :func:`pack_block` / :func:`unpack_block` give a
+bit-exact numpy array codec: a u32 head length, a JSON head carrying
+the manifest (name, dtype, shape, byte length per array), then the
+concatenated raw buffers.  ``tobytes`` / ``frombuffer`` round-trip
+every IEEE bit pattern, including NaN payloads, so checkpoint restore
+is bitwise by construction.  Checkpoints (:func:`pack_arrays`),
+trajectory frames and the ``repro serve`` array wire format all use
+this one layout and its one manifest parser, which refuses hostile
+manifests with :class:`CorruptStateError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from typing import BinaryIO
@@ -150,45 +155,120 @@ def unpack_json(payload: bytes) -> dict:
     return obj
 
 
-def pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
-    """Serialize named arrays bit-exactly (manifest + raw buffers)."""
-    manifest = []
+_HEAD_LEN = struct.Struct("<I")
+
+#: dtype kinds an array block may carry: bool, signed/unsigned integer,
+#: float and complex.  Object, void, string and datetime buffers are
+#: refused, so a hostile manifest can never reach ``frombuffer`` with a
+#: dtype it cannot decode.
+_ARRAY_KINDS = frozenset("biufc")
+
+
+def pack_block(head: dict, arrays: dict[str, np.ndarray] | None = None) -> bytes:
+    """A u32 head length, the canonical JSON `head`, then raw buffers.
+
+    With `arrays`, the head gains an ``"arrays"`` manifest (name, dtype,
+    shape and byte length per array) and the buffers follow the head in
+    manifest order.  Without, the block is the length-prefixed head
+    alone (a trajectory frame's metadata).
+    """
     buffers = []
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        shape = list(arr.shape)  # before ascontiguousarray, which promotes 0-d to 1-d
-        raw = np.ascontiguousarray(arr).tobytes()
-        manifest.append(
-            {"name": name, "dtype": arr.dtype.str, "shape": shape, "nbytes": len(raw)}
+    if arrays is not None:
+        manifest = []
+        for name, arr in arrays.items():
+            arr = np.asarray(arr)
+            shape = list(arr.shape)  # before ascontiguousarray, which promotes 0-d to 1-d
+            raw = np.ascontiguousarray(arr).tobytes()
+            manifest.append(
+                {"name": name, "dtype": arr.dtype.str, "shape": shape, "nbytes": len(raw)}
+            )
+            buffers.append(raw)
+        head = {**head, "arrays": manifest}
+    head_bytes = pack_json(head)
+    return _HEAD_LEN.pack(len(head_bytes)) + head_bytes + b"".join(buffers)
+
+
+def read_head(payload: bytes) -> tuple[dict, int]:
+    """Decode the length-prefixed JSON head of a block; returns the head
+    and the offset of the first byte after it."""
+    if len(payload) < _HEAD_LEN.size:
+        raise CorruptStateError("block too short for its head length")
+    (head_len,) = _HEAD_LEN.unpack_from(payload, 0)
+    end = _HEAD_LEN.size + head_len
+    if end > len(payload):
+        raise CorruptStateError("block head extends past the payload")
+    return unpack_json(payload[_HEAD_LEN.size : end]), end
+
+
+def _manifest_entry(entry, dtypes) -> tuple[str, np.dtype, tuple[int, ...], int]:
+    """Validate one manifest entry; any defect is a CorruptStateError."""
+    try:
+        name, dtype_str = entry["name"], entry["dtype"]
+        shape, nbytes = entry["shape"], entry["nbytes"]
+    except (KeyError, TypeError) as exc:
+        raise CorruptStateError(f"malformed array manifest entry: {entry!r}") from exc
+    if not isinstance(name, str) or not isinstance(dtype_str, str):
+        raise CorruptStateError(f"malformed array manifest entry: {entry!r}")
+    try:
+        dtype = np.dtype(dtype_str)
+    except (TypeError, ValueError) as exc:
+        raise CorruptStateError(f"array {name!r} has unknown dtype {dtype_str!r}") from exc
+    if dtype.kind not in _ARRAY_KINDS:
+        raise CorruptStateError(f"array {name!r} has unsupported dtype {dtype_str!r}")
+    if dtypes is not None and dtype.str not in dtypes:
+        raise CorruptStateError(
+            f"array {name!r} has dtype {dtype_str!r}; expected one of {sorted(dtypes)}"
         )
-        buffers.append(raw)
-    head = pack_json({"arrays": manifest})
-    return struct.pack("<I", len(head)) + head + b"".join(buffers)
+    if not isinstance(shape, list) or not all(
+        type(d) is int and d >= 0 for d in shape
+    ):
+        raise CorruptStateError(f"array {name!r} has malformed shape {shape!r}")
+    if type(nbytes) is not int or nbytes != math.prod(shape) * dtype.itemsize:
+        raise CorruptStateError(
+            f"array {name!r}: nbytes {nbytes!r} does not match shape {shape} "
+            f"of {dtype_str}"
+        )
+    return name, dtype, tuple(shape), nbytes
 
 
-def unpack_arrays(payload: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`pack_arrays`; unknown manifest keys are ignored."""
-    if len(payload) < 4:
-        raise CorruptStateError("array block too short for its manifest length")
-    (head_len,) = struct.unpack_from("<I", payload, 0)
-    if 4 + head_len > len(payload):
-        raise CorruptStateError("array manifest extends past the frame")
-    manifest = unpack_json(payload[4 : 4 + head_len])
-    entries = manifest.get("arrays")
+def unpack_block(payload: bytes, *, dtypes=None) -> tuple[dict, dict[str, np.ndarray]]:
+    """Inverse of :func:`pack_block`: ``(head, arrays)``.
+
+    Every manifest defect raises :class:`CorruptStateError`: a missing
+    or malformed field, a dtype outside bool/int/float/complex (or
+    outside `dtypes`, a set of ``dtype.str`` values, when given), a
+    negative or non-integral shape, a byte length that disagrees with
+    shape and dtype, a duplicate name, a buffer past the end, and bytes
+    left over after the last buffer.  Unknown head and entry keys are
+    ignored.  The arrays own their memory.
+    """
+    head, offset = read_head(payload)
+    entries = head.get("arrays")
     if not isinstance(entries, list):
         raise CorruptStateError("array manifest missing its 'arrays' list")
     out: dict[str, np.ndarray] = {}
-    offset = 4 + head_len
     for entry in entries:
-        try:
-            name, dtype = entry["name"], np.dtype(entry["dtype"])
-            shape, nbytes = tuple(entry["shape"]), int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptStateError(f"malformed array manifest entry: {entry!r}") from exc
+        name, dtype, shape, nbytes = _manifest_entry(entry, dtypes)
+        if name in out:
+            raise CorruptStateError(f"array {name!r} appears twice in the manifest")
         if offset + nbytes > len(payload):
-            raise CorruptStateError(f"array {name!r} extends past the frame")
+            raise CorruptStateError(f"array {name!r} extends past the payload")
         out[name] = np.frombuffer(
             payload, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
         ).reshape(shape).copy()
         offset += nbytes
-    return out
+    if offset != len(payload):
+        raise CorruptStateError(
+            f"{len(payload) - offset} bytes trail the last array buffer"
+        )
+    return head, out
+
+
+def pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
+    """Serialize named arrays bit-exactly (manifest + raw buffers)."""
+    return pack_block({}, arrays)
+
+
+def unpack_arrays(payload: bytes) -> dict[str, np.ndarray]:
+    """Inverse of :func:`pack_arrays`; unknown manifest keys are ignored."""
+    return unpack_block(payload)[1]

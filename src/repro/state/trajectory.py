@@ -16,15 +16,15 @@ streams each frame as one self-contained CRC'd zlib frame
   :func:`recover_trajectory` drops the torn tail.
 
 File layout: 8-byte magic ``b"REPROTR1"``, then one frame per stored
-MD frame.  Frame payload: a little-endian uint32 JSON-header length,
-the JSON header (step, species, masses, periodicity), then a
+MD frame.  Frame payload: a head-only
+:func:`repro.state.format.pack_block` (a little-endian uint32 length,
+then the JSON header: step, species, masses, periodicity), then a
 :func:`repro.state.format.pack_arrays` block with ``x``, ``box_lo``,
 ``box_hi``, ``type`` and optionally ``v``.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,11 +35,11 @@ from repro.md.box import Box
 from repro.state.format import (
     CorruptStateError,
     pack_arrays,
-    pack_json,
+    pack_block,
     read_frame,
+    read_head,
     scan_frames,
     unpack_arrays,
-    unpack_json,
     write_frame,
 )
 
@@ -89,7 +89,7 @@ class BinaryTrajectory:
     def write_frame(self, system: AtomSystem, *, step: int) -> None:
         if self._fh is None:
             raise ValueError("trajectory is closed")
-        head = pack_json({
+        head = pack_block({
             "step": int(step),
             "n": system.n,
             "species": list(system.species),
@@ -105,8 +105,7 @@ class BinaryTrajectory:
         }
         if self.velocities:
             arrays["v"] = system.v
-        payload = struct.pack("<I", len(head)) + head + pack_arrays(arrays)
-        write_frame(self._fh, payload)
+        write_frame(self._fh, head + pack_arrays(arrays))
         self._fh.flush()
         self.frames_written += 1
         self.last_step_written = step
@@ -155,13 +154,8 @@ class TrajectoryScan:
 
 
 def _decode_frame(payload: bytes) -> TrajectoryFrame:
-    if len(payload) < 4:
-        raise CorruptStateError("trajectory frame too short for its header length")
-    (head_len,) = struct.unpack_from("<I", payload, 0)
-    if 4 + head_len > len(payload):
-        raise CorruptStateError("trajectory frame header extends past the frame")
-    head = unpack_json(payload[4 : 4 + head_len])
-    arrays = unpack_arrays(payload[4 + head_len:])
+    head, end = read_head(payload)
+    arrays = unpack_arrays(payload[end:])
     box = Box(arrays["box_lo"], arrays["box_hi"], tuple(head["box_periodic"]))
     system = AtomSystem(
         box=box,

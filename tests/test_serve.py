@@ -29,7 +29,14 @@ from repro.serve import (
     validate_request,
 )
 from repro.serve.loadgen import percentile, run_load
-from repro.serve.protocol import SERVE_SCHEMA_VERSION, decode_payload, encode_payload
+from repro.serve.protocol import (
+    ARRAYS_CONTENT_TYPE,
+    JSON_CONTENT_TYPE,
+    SERVE_SCHEMA_VERSION,
+    decode_payload,
+    encode_payload,
+)
+from repro.state.format import pack_block
 
 SPEC = SolverSpec(potential="tersoff", mode="Opt-M")
 
@@ -79,6 +86,43 @@ class TestProtocol:
         with pytest.raises(ValueError):
             encode_payload({"x": float("nan")})
 
+    def test_json_bytes_unchanged_by_array_payloads(self):
+        """ndarrays in the payload encode as the lists they used to be."""
+        system = _system()
+        as_lists = {
+            "x": system.x.tolist(),
+            "box": {"lo": system.box.lo.tolist(), "hi": system.box.hi.tolist(),
+                    "periodic": list(system.box.periodic)},
+            "species": list(system.species),
+        }
+        expected = json.dumps(as_lists, allow_nan=False, separators=(",", ":")).encode()
+        assert encode_payload(system_payload(system)) == expected
+
+    def test_array_wire_round_trip_bitwise(self):
+        """-0.0, subnormals and NaN payload bits survive the array wire."""
+        x = np.zeros((4, 3))
+        x[0] = [-0.0, 5e-324, np.nextafter(2.2250738585072014e-308, 0.0)]
+        x[1] = np.array([0x7FF8000000000123, 0xFFF0000000000001, 0x7FF0000000000000],
+                        dtype="<u8").view("<f8")
+        types = np.array([0, 1, 0, 1], dtype=np.int32)
+        payload = {"schema": SERVE_SCHEMA_VERSION, "system": {"x": x, "types": types},
+                   "energy": -1.5, "tags": [3, "a"]}
+        body = encode_payload(payload, ARRAYS_CONTENT_TYPE)
+        out = decode_payload(body, ARRAYS_CONTENT_TYPE)
+        assert out["system"]["x"].tobytes() == x.tobytes()
+        assert out["system"]["types"].dtype == np.int32
+        assert np.array_equal(out["system"]["types"], types)
+        assert out["energy"] == -1.5 and out["tags"] == [3, "a"]
+        assert out["system"]["x"].flags.writeable
+
+    def test_off_wire_dtype_arrays_travel_as_lists(self):
+        arrays = {"i8": np.arange(3, dtype=np.int64), "f32": np.array([0.5], np.float32),
+                  "flags": np.array([True, False])}
+        out = decode_payload(encode_payload(arrays, ARRAYS_CONTENT_TYPE),
+                             ARRAYS_CONTENT_TYPE)
+        assert out["i8"].dtype == np.int64
+        assert out["f32"] == [0.5] and out["flags"] == [True, False]
+
 
 # ---- validation tiers --------------------------------------------------------
 
@@ -103,6 +147,13 @@ class TestValidationTaxonomy:
          "L1", "bad_positions"),
         (lambda r: {**r, "system": {**r["system"], "box": [0, 10]}},
          "L1", "bad_box"),
+        # explicit ids keep the auto-generated ids of the rows above unique
+        pytest.param(lambda r: {**r, "system": {**r["system"], "box": {
+            **r["system"]["box"], "periodic": 5}}}, "L1", "bad_box", id="periodic-int-L1-bad_box"),
+        pytest.param(lambda r: {**r, "system": {**r["system"], "species": 5}},
+                     "L1", "bad_species", id="species-int-L1-bad_species"),
+        pytest.param(lambda r: {**r, "system": {**r["system"], "species": "Si"}},
+                     "L1", "bad_species", id="species-str-L1-bad_species"),
         (lambda r: {**r, "system": {**r["system"],
                                     "types": [0.5] * len(r["system"]["x"])}},
          "L1", "bad_types"),
@@ -123,6 +174,8 @@ class TestValidationTaxonomy:
         (lambda r: {**r, "system": {**r["system"],
                                     "box": {"lo": [0, 0, 0], "hi": [3, 3, 3]}}},
          "L3", "cutoff_box"),
+        pytest.param(lambda r: {**r, "system": {**r["system"], "species": ["C"]}},
+                     "L3", "species_mismatch", id="species-other-L3-species_mismatch"),
     ])
     def test_tier_and_code(self, mutate, tier, code):
         with pytest.raises(RequestError) as info:
@@ -174,8 +227,8 @@ class TestValidationTaxonomy:
             assert body["error"]["code"] == "undecodable"
 
     def test_http_non_json_content_type_is_protocol_error(self, server):
-        """JSON is the only codec: any other content type gets the typed
-        L0 protocol error, and stats advertise JSON alone."""
+        """An unknown content type gets the typed L0 protocol error (in
+        JSON), and stats advertise JSON and the array wire."""
         with ServeClient(server.address) as c:
             conn = c._connection()
             conn.request("POST", "/v1/evaluate", body=encode_payload(_request()),
@@ -186,7 +239,62 @@ class TestValidationTaxonomy:
             assert body["error"]["tier"] == "L0"
             assert body["error"]["code"] == "undecodable"
             assert "unsupported content type" in body["error"]["message"]
-            assert c.stats()["content_types"] == ["application/json"]
+            assert c.stats()["content_types"] == ["application/json",
+                                                  "application/x-repro-arrays"]
+
+    @pytest.mark.parametrize("mangle", [
+        pytest.param(lambda body: body[:-5], id="truncated"),
+        pytest.param(lambda body: body + b"\0" * 8, id="trailing-bytes"),
+        pytest.param(lambda body: pack_block(
+            {"body": {"x": {"$array": "a9"}}}, {"a0": np.arange(3.0)}), id="bad-reference"),
+        pytest.param(lambda body: pack_block(
+            {"body": {"x": {"$array": "a0"}}}, {"a0": np.arange(3, dtype=np.float32)}),
+            id="off-wire-dtype"),
+        pytest.param(lambda body: pack_block({}, {"a0": np.arange(3.0)}), id="no-envelope"),
+        pytest.param(lambda body: body[:2], id="no-head"),
+    ])
+    def test_http_malformed_array_body(self, server, mangle):
+        """Any malformed array body is a typed L0 undecodable, answered
+        in the array content type."""
+        body = mangle(encode_payload(_request(), ARRAYS_CONTENT_TYPE))
+        with ServeClient(server.address) as c:
+            conn = c._connection()
+            conn.request("POST", "/v1/evaluate", body=body,
+                         headers={"Content-Type": ARRAYS_CONTENT_TYPE})
+            resp = conn.getresponse()
+            assert resp.headers["Content-Type"] == ARRAYS_CONTENT_TYPE
+            out = decode_payload(resp.read(), ARRAYS_CONTENT_TYPE)
+            assert resp.status == 400
+            assert (out["error"]["tier"], out["error"]["code"]) == ("L0", "undecodable")
+
+    def test_http_nan_position_reaches_l2(self, client):
+        """Raw float64 buffers carry NaN to the server, whose tier L2
+        refuses it (the JSON encoder refused it client-side)."""
+        system = _system()
+        system.x[3, 1] = np.nan
+        with pytest.raises(ServeError) as info:
+            client.evaluate(SPEC.to_dict(), system)
+        assert info.value.status == 400
+        assert (info.value.tier, info.value.code) == ("L2", "nonfinite")
+
+    @pytest.mark.parametrize("system_over,code", [
+        ({"box": {"lo": [0, 0, 0], "hi": [20, 20, 20], "periodic": 5}}, "bad_box"),
+        ({"species": 5}, "bad_species"),
+        ({"species": "Si"}, "bad_species"),
+    ])
+    def test_http_bad_flags_typed_on_first_attempt(self, server, system_over, code):
+        """Bad periodic flags or species get a typed 400 on the first
+        attempt: the handler answers instead of dropping the connection
+        (which the client would silently retry)."""
+        req = _request()
+        req["system"] = {**req["system"], **system_over}
+        with ServeClient(server.address) as c:
+            before = c.stats()["server"]["received"]
+            with pytest.raises(ServeError) as info:
+                c._request("POST", "/v1/evaluate", req)
+            assert info.value.status == 400
+            assert (info.value.tier, info.value.code) == ("L1", code)
+            assert c.stats()["server"]["received"] == before + 1
 
     def test_http_not_found(self, client):
         with pytest.raises(ServeError) as info:
@@ -212,6 +320,30 @@ class TestServeEquivalence:
         assert out["energy"] == ref.energy
         assert out["virial"] == ref.virial
         assert np.array_equal(out["forces"], ref_forces)
+
+    def test_json_request_answered_in_json_bitwise(self, client, server):
+        """A raw-HTTP JSON request is answered in JSON, bit for bit the
+        answer the array wire gives."""
+        system = _system()
+        binary = client.evaluate(SPEC.to_dict(), system)
+        with ServeClient(server.address) as c:
+            conn = c._connection()
+            conn.request("POST", "/v1/evaluate", body=encode_payload(_request(system=system)),
+                         headers={"Content-Type": JSON_CONTENT_TYPE})
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert resp.headers["Content-Type"] == JSON_CONTENT_TYPE
+            out = json.loads(resp.read())
+        assert out["energy"] == binary["energy"]
+        assert out["virial"] == binary["virial"]
+        assert np.asarray(out["forces"]).tobytes() == binary["forces"].tobytes()
+
+    def test_forces_owned_and_writable(self, client):
+        out = client.evaluate(SPEC.to_dict(), _system())
+        forces = out["forces"]
+        assert forces.dtype == np.float64 and forces.shape == (_system().n, 3)
+        assert forces.flags.writeable and forces.flags.owndata
+        forces[0, 0] = 1.0  # must not raise
 
     def test_bitwise_sw(self, client):
         spec = SolverSpec(potential="sw", mode="Opt-D")

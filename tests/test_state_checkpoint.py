@@ -232,6 +232,21 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="missing arrays"):
             load_checkpoint(path)
 
+    def test_crc_valid_hostile_manifest(self, si_params, tmp_path):
+        # a well-framed array block whose manifest lies about its buffer
+        path = self.saved(si_params, tmp_path)
+        with open(path, "rb") as fh:
+            magic = fh.read(len(CHECKPOINT_MAGIC))
+            meta = read_frame(fh)
+        head = pack_json({"arrays": [{"name": "x", "dtype": "|O", "shape": [2],
+                                      "nbytes": 16}]})
+        with open(path, "wb") as fh:
+            fh.write(magic)
+            write_frame(fh, meta)
+            write_frame(fh, len(head).to_bytes(4, "little") + head + bytes(16))
+        with pytest.raises(CheckpointError, match="unsupported dtype"):
+            load_checkpoint(path)
+
 
 class TestAtomicity:
     def test_overwrite_leaves_no_tmp(self, si_params, tmp_path):

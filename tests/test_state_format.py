@@ -23,10 +23,12 @@ from repro.state.format import (
     StateFormatError,
     TruncatedStateError,
     pack_arrays,
+    pack_block,
     pack_json,
     read_frame,
     scan_frames,
     unpack_arrays,
+    unpack_block,
     unpack_json,
     write_frame,
 )
@@ -187,6 +189,48 @@ class TestArrayCodec:
         payload = pack_arrays({"x": np.arange(16.0)})
         with pytest.raises(StateFormatError):
             unpack_arrays(payload[:-8])
+
+    def test_pack_arrays_is_a_head_free_block(self):
+        # checkpoints keep their bytes: the manifest is the whole head
+        arrays = {"x": np.arange(6.0).reshape(2, 3), "type": np.zeros(2, np.int32)}
+        assert pack_arrays(arrays) == pack_block({}, arrays)
+        head, out = unpack_block(pack_block({"step": 7}, arrays))
+        assert head["step"] == 7 and set(out) == set(arrays)
+
+    def test_dtype_allow_list(self):
+        payload = pack_arrays({"x": np.arange(3, dtype=np.float32)})
+        with pytest.raises(CorruptStateError, match="expected one of"):
+            unpack_block(payload, dtypes={"<f8"})
+
+
+def _block(entries, buffers: bytes) -> bytes:
+    head = pack_json({"arrays": entries})
+    return struct.pack("<I", len(head)) + head + buffers
+
+
+def _entry(**over):
+    return {"name": "x", "dtype": "<f8", "shape": [2], "nbytes": 16, **over}
+
+
+class TestHostileManifest:
+    """A manifest is outside input on the serve wire: every lie it can
+    tell is a typed CorruptStateError, never a raw numpy error or a
+    silently wrong array."""
+
+    @pytest.mark.parametrize("entries,buffers", [
+        pytest.param([_entry(shape=[3])], bytes(16), id="shape-nbytes-mismatch"),
+        pytest.param([_entry(dtype="|O")], bytes(16), id="object-dtype"),
+        pytest.param([_entry(dtype="|V0", nbytes=0)], b"", id="zero-itemsize"),
+        pytest.param([_entry(shape=[10**12], nbytes=8)], bytes(8), id="huge-shape"),
+        pytest.param([_entry(nbytes=16), _entry(name="y", shape=[0], nbytes=-8)],
+                     bytes(16), id="negative-nbytes"),
+        pytest.param([_entry(shape=[1], nbytes=12)], bytes(12), id="nbytes-not-itemsize-multiple"),
+        pytest.param([_entry()], bytes(24), id="trailing-bytes"),
+        pytest.param([_entry(), _entry()], bytes(32), id="duplicate-name"),
+    ])
+    def test_typed_error(self, entries, buffers):
+        with pytest.raises(CorruptStateError):
+            unpack_arrays(_block(entries, buffers))
 
 
 class TestJsonCodec:
