@@ -32,6 +32,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     import repro
     from repro.backends import available, get, get_default
     from repro.perf.machines import host_fingerprint, list_machines
+    from repro.runtime.spec import EXECUTORS
     from repro.vector.isa import ISA_REGISTRY
 
     print(f"repro {repro.__version__} — Tersoff vectorization reproduction (SC'16)")
@@ -41,9 +42,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
         default = " (default)" if name == get_default() else ""
         print(f"  {name:8s} {status}{default}")
         print(f"           {get(name).description}")
-    print("\nexecutor start methods:")
+    print("\nexecutors (--executor):")
     methods = multiprocessing.get_all_start_methods()
-    print(f"  serial; process via {', '.join(methods)}")
+    print(f"  {', '.join(EXECUTORS)}; start methods on this host: {', '.join(methods)}")
     fp = host_fingerprint()
     print(f"\nhost: {fp.get('processor') or fp.get('arch', '?')} "
           f"({fp.get('cpu_count', '?')} cpus, fingerprint {fp.get('fingerprint_id')})")
@@ -72,8 +73,8 @@ def _restart_run_spec(ck, args: argparse.Namespace):
     """The effective :class:`RunSpec` for ``--restart-from``.
 
     The checkpoint pins the full configuration — solver (potential,
-    mode, cache, backend) *and* execution (executor, transport,
-    workers, ranks, sort, skin).  Explicitly-given CLI flags override
+    mode, cache, backend) *and* execution (executor, hosts, workers,
+    ranks, sort, skin).  Explicitly-given CLI flags override
     the execution knobs (resuming on different hardware is legitimate);
     the solver always comes from the checkpoint, so the physics cannot
     drift across a restart.
@@ -92,18 +93,12 @@ def _restart_run_spec(ck, args: argparse.Namespace):
         overrides["ranks"] = args.ranks
     if args.executor is not None:
         overrides["executor"] = args.executor
-        overrides.setdefault("transport", None)
-        overrides.setdefault("hosts", None)
-    if args.transport is not None:
-        overrides["transport"] = args.transport
-        overrides.setdefault("executor", None)
         overrides.setdefault("hosts", None)
     if args.hosts:
         overrides["hosts"] = tuple(
             h.strip() for h in args.hosts.split(",") if h.strip()
         )
         overrides.setdefault("executor", None)
-        overrides.setdefault("transport", None)
     if args.sort_domains:
         overrides["sort"] = True
     return pinned.with_overrides(**overrides) if overrides else pinned
@@ -549,6 +544,8 @@ def _cmd_bench_list(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.runtime.spec import EXECUTORS
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -578,21 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "the physics depends only on ranks, never on workers")
     p_run.add_argument("--sort-domains", action="store_true",
                        help="Morton-order rank-local atoms (locality optimization)")
-    p_run.add_argument("--executor",
-                       choices=("serial", "thread", "process", "fork", "spawn",
-                                "forkserver", "tcp", "unix"),
-                       default=None,
+    p_run.add_argument("--executor", choices=EXECUTORS, default=None,
                        help="execution backend for --workers (default: process pool via "
                             "fork where available; physics is bitwise identical across "
                             "executors)")
-    p_run.add_argument("--transport", choices=("tcp", "unix"), default=None,
-                       help="socket framing for the cluster executor (with --hosts: "
-                            "how to reach the workers; alone: spawn a local socket "
-                            "pool, same as --executor tcp/unix)")
     p_run.add_argument("--hosts", default=None, metavar="ADDR,ADDR,...",
                        help="connect to pre-started 'repro worker' listeners "
-                            "(host:port for tcp, socket paths for unix); one worker "
-                            "per address — the multi-node halo-exchange mode")
+                            "(host:port for TCP, socket paths for unix sockets); one "
+                            "worker per address — the multi-node halo-exchange mode")
     p_run.add_argument("--sanitize", action="store_true",
                        help="debug: raise on FP faults and NaN-guard every force result")
     p_run.add_argument("--checkpoint", default=None, metavar="PATH",

@@ -128,11 +128,11 @@ class Simulation:
         bitwise equality with the serial path matters).
     executor:
         Execution backend for the pool: ``"serial"``, ``"thread"``,
-        ``"fork"``, ``"spawn"``, ``"forkserver"``, ``"process"``,
-        ``"tcp"``, ``"unix"``, or an
-        :class:`~repro.parallel.executor.EngineExecutor` instance
-        (default: process pool via fork where available).  Bitwise
-        identical physics across executors.
+        ``"fork"``, ``"spawn"``, ``"forkserver"``, ``"process"``, or an
+        :class:`~repro.parallel.executor.EngineExecutor` instance such
+        as a :class:`~repro.parallel.transport.ProcessExecutor` on
+        ``repro worker`` hosts (default: process pool via fork where
+        available).  Bitwise identical physics across executors.
     """
 
     def __init__(

@@ -8,7 +8,7 @@ execution (every rank's computation runs in one process against its own
 owned + ghost atom sets, messages are byte-accurate, and a
 latency/bandwidth network model converts traffic into modelled
 communication time), and :class:`ParallelEngine`, a persistent worker
-pool (threads, processes or socket-connected ranks) that runs those
+pool (threads, or processes on this host or on others) that runs those
 same ranks concurrently, exchanging only ghost positions and force
 slabs, for real wall-clock speedup.
 
@@ -32,22 +32,20 @@ from repro.parallel.engine import EngineError, EngineStep, ParallelEngine, Worke
 from repro.parallel.executor import (
     EngineExecutor,
     ExecutorError,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     WorkerFailure,
     make_executor,
 )
 from repro.parallel.transport import (
-    ClusterExecutor,
     CorruptFrameError,
+    ProcessExecutor,
     TornFrameError,
     TransportError,
     run_worker,
 )
 
 __all__ = [
-    "ClusterExecutor",
     "ClusterSpec",
     "CommRecord",
     "CorruptFrameError",

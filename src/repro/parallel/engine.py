@@ -3,7 +3,7 @@
 The paper's evaluation (Sec. VI, Figs. 5/8/9) and its journal follow-up
 make multi-threaded strong scaling the headline claim; this module is
 the repository's real (not modeled) counterpart: a persistent worker
-pool (threads, processes or socket-connected ranks, see
+pool (threads or worker processes, see
 :mod:`repro.parallel.executor`) that executes the ranks of a
 :class:`~repro.parallel.decomposition.DomainDecomposition`
 concurrently.
@@ -21,8 +21,8 @@ Architecture
   only its local force slab in the reply — never the full ``(n, 3)``
   arrays.  This is the same on every executor, as it is for LAMMPS'
   MPI ranks whether or not they share a node: in-process executors
-  pass the blocks by reference, the process pool pickles them through
-  its pipes, the cluster pool frames them over sockets.
+  pass the blocks by reference, the process executor frames them over
+  sockets, local and remote workers alike.
 - **Deterministic reduction.**  The host merges per-rank force blocks
   with :meth:`DomainDecomposition.reduce_forces` (fixed rank order,
   input-order scatters) and sums rank energies in rank order, so for a
@@ -151,7 +151,7 @@ class WorkerHost:
     """One worker's long-lived state, commands served via :meth:`handle`.
 
     This is the executor-agnostic half of the worker loop: it owns the
-    per-rank states and knows nothing about threads, pipes or sockets —
+    per-rank states and knows nothing about threads, processes or sockets —
     :mod:`repro.parallel.executor` supplies those.  With the
     :class:`~repro.parallel.executor.SerialExecutor` these hosts simply
     live in the engine's own process.
@@ -298,8 +298,8 @@ class ParallelEngine:
     potential:
         Template potential; each worker holds one private copy per
         assigned rank (so interaction caches never alias).  Must be
-        picklable for the ``"spawn"``/``"forkserver"`` and socket
-        executors.
+        picklable for the ``"spawn"``/``"forkserver"`` executors and
+        for ``repro worker`` hosts.
     workers:
         Number of workers (clamped to ``ranks``).
     ranks:
@@ -323,11 +323,11 @@ class ParallelEngine:
         ``"thread"`` (persistent thread per worker; real overlap with
         the GIL-releasing compiled kernel), ``"fork"`` / ``"spawn"`` /
         ``"forkserver"`` (process pool with that start method),
-        ``"process"`` (process pool, platform default method),
-        ``"tcp"`` / ``"unix"`` (socket-transport cluster pool), or a
+        ``"process"`` (process pool, platform default method), or a
         ready :class:`EngineExecutor` instance — e.g. a
-        :class:`~repro.parallel.transport.ClusterExecutor` connected to
-        remote hosts.  Default: process pool via fork where available.
+        :class:`~repro.parallel.transport.ProcessExecutor` connected to
+        ``repro worker`` listeners on other hosts.  Default: process
+        pool via fork where available.
         The physics is bitwise identical across executors — they only
         move where the rank evaluations run.
     """
@@ -435,18 +435,10 @@ class ParallelEngine:
     def _dispatch(self, cmd: str, payloads: list | None = None) -> list:
         """Send `cmd` to every worker, collect replies in worker order."""
         futs = [
-            self._submit(w, cmd, None if payloads is None else payloads[w])
+            self._exec.submit(w, cmd, None if payloads is None else payloads[w])
             for w in range(self.workers)
         ]
         return [self._result(w, fut) for w, fut in enumerate(futs)]
-
-    def _submit(self, worker: int, cmd: str, payload=None):
-        # wire executors can already detect a dead peer at send time
-        try:
-            return self._exec.submit(worker, cmd, payload)
-        except WorkerFailure as exc:
-            self.close()
-            raise WorkerCrash(exc.worker, exc.remote_traceback) from exc
 
     def _result(self, worker: int, fut):
         try:
@@ -472,7 +464,7 @@ class ParallelEngine:
         blocks: list[dict] = [{} for _ in range(self.workers)]
         for dom in self._dd.domains:
             blocks[self._worker_of(dom.rank)][dom.rank] = np.take(x, dom.local_idx, axis=0)
-        futs = [self._submit(w, "step", {"x": blocks[w]}) for w in range(self.workers)]
+        futs = [self._exec.submit(w, "step", {"x": blocks[w]}) for w in range(self.workers)]
         t2 = time.perf_counter()
         per_worker = [self._result(w, fut) for w, fut in enumerate(futs)]
         t3 = time.perf_counter()
@@ -637,7 +629,7 @@ class ParallelEngine:
 
         Every :meth:`compute` contributes one ``(bytes, seconds)``
         sample; the executor's own calibration (e.g.
-        :meth:`~repro.parallel.transport.ClusterExecutor.calibrate`)
+        :meth:`~repro.parallel.transport.ProcessExecutor.calibrate`)
         probes the raw fabric instead — this fit sees the end-to-end
         data plane including staging.  ``None`` until a step with a
         positive comm time has been measured.

@@ -2,12 +2,11 @@
 
 The engine talks to an :class:`EngineExecutor` and never to
 ``multiprocessing`` or sockets itself, so serial in-process execution,
-threads, process pools and socket clusters are interchangeable.  There
-is one data plane on every executor: a rank's owned+ghost position rows
-travel in the ``"step"`` payload and its owned-force slab comes back in
-the reply.  In-process executors pass those arrays by reference; the
-process pool pickles them through its pipes; the cluster pool frames
-them over sockets.
+threads and worker processes are interchangeable.  There is one data
+plane on every executor: a rank's owned+ghost position rows travel in
+the ``"step"`` payload and its owned-force slab comes back in the
+reply.  In-process executors pass those arrays by reference; the
+process executor frames them over sockets.
 
 The protocol (three methods):
 
@@ -17,12 +16,13 @@ The protocol (three methods):
   worker's host; returns a :class:`concurrent.futures.Future` whose
   ``result()`` is the host's return value, or raises
   :class:`WorkerFailure` carrying the remote traceback.  A dead worker
-  is a :class:`WorkerFailure` too, never a raw OS error.
+  is a :class:`WorkerFailure` too, never a raw OS error, and ``submit``
+  itself never raises it: the returned future fails instead.
 - ``shutdown()`` — tear everything down; idempotent, also runs via a
   ``weakref.finalize`` safety net so dropped executors never leak
   processes.
 
-Four implementations:
+Three implementations:
 
 - :class:`SerialExecutor` — hosts live in this process, ``submit``
   executes synchronously and returns an already-resolved future.  No
@@ -32,12 +32,10 @@ Four implementations:
   this process.  Useful when the kernel releases the GIL (the compiled
   C backend does): rank evaluations then overlap without any process
   or serialization cost.
-- :class:`ProcessExecutor` — one process per worker (``fork``,
-  ``spawn`` or ``forkserver``) and a duplex pipe per worker.  Futures
-  are lazy: replies are drained from the pipe in FIFO order when
-  ``result()`` is first called.
-- :class:`~repro.parallel.transport.ClusterExecutor` — workers behind
-  framed TCP/unix sockets (possibly on other hosts).
+- :class:`~repro.parallel.transport.ProcessExecutor` — one process per
+  worker, every message a CRC-framed socket frame: local processes
+  (``fork``, ``spawn`` or ``forkserver``) on socket pairs, or
+  pre-started ``repro worker`` listeners on other hosts (``hosts=``).
 
 Ordering guarantee (all implementations): commands submitted to the
 same worker execute in submission order; there is no cross-worker
@@ -48,8 +46,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import traceback
-import weakref
-from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Protocol, runtime_checkable
 
@@ -85,13 +81,15 @@ class EngineExecutor(Protocol):
 def make_executor(spec: "str | EngineExecutor | None", *, workers: int) -> EngineExecutor:
     """Resolve an executor spec (name, instance, or ``None``).
 
-    ``None`` and ``"process"`` select a process pool using ``fork``
+    ``None`` and ``"process"`` select a local
+    :class:`~repro.parallel.transport.ProcessExecutor` using ``fork``
     where available, else ``spawn``.  Other names: ``"serial"``,
-    ``"thread"``, a start method (``"fork"``, ``"spawn"``,
-    ``"forkserver"``), and ``"tcp"`` / ``"unix"`` (a spawned
-    socket-transport cluster pool, see
-    :class:`~repro.parallel.transport.ClusterExecutor`).
+    ``"thread"``, and a start method (``"fork"``, ``"spawn"``,
+    ``"forkserver"``).  Remote workers (``hosts=``) come as a ready
+    instance.
     """
+    from repro.parallel.transport import ProcessExecutor  # avoid import cycle
+
     if spec is not None and not isinstance(spec, str):
         return spec
     if spec is None or spec == "process":
@@ -100,15 +98,11 @@ def make_executor(spec: "str | EngineExecutor | None", *, workers: int) -> Engin
         return SerialExecutor(workers)
     if spec == "thread":
         return ThreadExecutor(workers)
-    if spec in ("tcp", "unix"):
-        from repro.parallel.transport import ClusterExecutor  # avoid import cycle
-
-        return ClusterExecutor(workers, transport=spec)
     if spec in mp.get_all_start_methods():
         return ProcessExecutor(workers, start_method=spec)
     raise ExecutorError(
         f"unknown executor {spec!r}; expected 'serial', 'thread', 'process', "
-        f"'tcp', 'unix', or a start method ({', '.join(mp.get_all_start_methods())})"
+        f"or a start method ({', '.join(mp.get_all_start_methods())})"
     )
 
 
@@ -209,181 +203,3 @@ class ThreadExecutor:
                 pool.shutdown(wait=True)
         self._pools = None
         self._hosts = None
-
-
-# ---------------------------------------------------------------------------
-# process pool
-# ---------------------------------------------------------------------------
-
-
-def _process_worker_main(conn, host_factory) -> None:
-    """Worker loop: build the host, serve commands until ``__exit__``/EOF."""
-    host = host_factory()
-    try:
-        while True:
-            cmd, payload = conn.recv()
-            if cmd == "__exit__":
-                break
-            try:
-                conn.send(("ok", host.handle(cmd, payload)))
-            except Exception:
-                conn.send(("error", traceback.format_exc()))
-    except (EOFError, KeyboardInterrupt):
-        pass
-    finally:
-        close = getattr(host, "close", None)
-        if close is not None:
-            close()
-
-
-def _cleanup_pool(procs, conns) -> None:
-    """Finalizer: stop workers, close pipes."""
-    for conn in conns:
-        try:
-            conn.send(("__exit__", None))
-        except (OSError, ValueError, BrokenPipeError):
-            pass
-    for p in procs:
-        p.join(timeout=3.0)
-        if p.is_alive():  # pragma: no cover - stuck worker safety net
-            p.terminate()
-            p.join(timeout=1.0)
-    for conn in conns:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-class _ChannelFuture(Future):
-    """Future bound to one worker's reply channel.
-
-    Replies arrive strictly in submission order per worker, so
-    ``result()`` drains the worker's pending queue up to and including
-    this future.  Earlier futures resolved along the way become ``done``
-    without anyone waiting on them — the engine is free to collect
-    results in any order.  Any executor with a ``_drain_until(worker,
-    fut)`` method can hand these out (the process pool and the socket
-    cluster pool both do).
-    """
-
-    def __init__(self, executor, worker: int):
-        super().__init__()
-        self._executor = executor
-        self._worker = worker
-
-    def result(self, timeout=None):
-        if not self.done():
-            self._executor._drain_until(self._worker, self)
-        return super().result(timeout)
-
-    def exception(self, timeout=None):
-        if not self.done():
-            self._executor._drain_until(self._worker, self)
-        return super().exception(timeout)
-
-
-class ProcessExecutor:
-    """One persistent process per worker, payloads pickled through pipes.
-
-    Parameters
-    ----------
-    workers:
-        Pool size.
-    start_method:
-        ``"fork"``, ``"spawn"`` or ``"forkserver"``; default is fork
-        where the platform offers it (nothing pickled), else spawn (the
-        host factory and everything it captures must then pickle).
-    """
-
-    def __init__(self, workers: int, start_method: str | None = None):
-        if workers < 1:
-            raise ExecutorError("need at least one worker")
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        if start_method not in mp.get_all_start_methods():
-            raise ExecutorError(
-                f"start method {start_method!r} not available on this platform "
-                f"(have: {', '.join(mp.get_all_start_methods())})"
-            )
-        self.workers = int(workers)
-        self.start_method = start_method
-        self._conns: list = []
-        self._procs: list = []
-        self._pending: list[deque] = []
-        self._started = False
-        self._shutdown = False
-        self._finalizer = None
-
-    def start(self, host_factory) -> None:
-        if self._started:
-            raise ExecutorError("executor already started")
-        ctx = mp.get_context(self.start_method)
-        try:
-            for w in range(self.workers):
-                host_conn, worker_conn = ctx.Pipe(duplex=True)
-                proc = ctx.Process(
-                    target=_process_worker_main,
-                    args=(worker_conn, host_factory),
-                    daemon=True,
-                    name=f"repro-exec-{w}",
-                )
-                proc.start()
-                worker_conn.close()
-                self._conns.append(host_conn)
-                self._procs.append(proc)
-                self._pending.append(deque())
-        except Exception:
-            _cleanup_pool(self._procs, self._conns)
-            raise
-        self._started = True
-        self._finalizer = weakref.finalize(self, _cleanup_pool, self._procs, self._conns)
-
-    def submit(self, worker: int, cmd: str, payload: object = None) -> Future:
-        if not self._started or self._shutdown:
-            raise ExecutorError("executor not started (or shut down)")
-        try:
-            self._conns[worker].send((cmd, payload))
-        except OSError as exc:  # BrokenPipeError, ConnectionResetError, ...
-            # the worker has exited: resolve what it answered before it
-            # died, fail everything else queued on it, and fail this
-            # command's future the same way
-            pending = self._pending[worker]
-            if pending:
-                self._drain_until(worker, pending[-1])
-            fut = Future()
-            fut.set_exception(WorkerFailure(worker, f"worker process died: {exc!r}"))
-            return fut
-        fut = _ChannelFuture(self, worker)
-        self._pending[worker].append(fut)
-        return fut
-
-    def _drain_until(self, worker: int, fut: _ChannelFuture) -> None:
-        """Receive replies (FIFO) until `fut` is resolved."""
-        pending = self._pending[worker]
-        while not fut.done():
-            if not pending:  # pragma: no cover - internal invariant
-                raise ExecutorError("future already drained but not done")
-            head = pending.popleft()
-            try:
-                status, value = self._conns[worker].recv()
-            except (EOFError, OSError) as exc:
-                failure = WorkerFailure(worker, f"worker process died: {exc!r}")
-                head.set_exception(failure)
-                # everything queued behind a dead worker fails too
-                while pending:
-                    pending.popleft().set_exception(
-                        WorkerFailure(worker, f"worker process died: {exc!r}"))
-                return
-            if status == "error":
-                head.set_exception(WorkerFailure(worker, value))
-            else:
-                head.set_result(value)
-
-    def shutdown(self) -> None:
-        if self._shutdown:
-            return
-        self._shutdown = True
-        if self._finalizer is not None:
-            self._finalizer.detach()
-        _cleanup_pool(self._procs, self._conns)

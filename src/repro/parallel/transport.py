@@ -1,11 +1,15 @@
-"""Socket transport and the cluster executor: real inter-process halo
-exchange under the :class:`~repro.parallel.executor.EngineExecutor`
-protocol.
+"""Framed-socket transport and the process executor: every worker
+process, local or remote, behind one message protocol.
 
-Ranks run in separate processes (same host or not) connected by
-length-prefixed, CRC-framed messages over TCP or unix-domain sockets.
-The engine's step messages carry the same payloads here as on every
-other executor: each rank's ghost-region positions go out, its
+:class:`ProcessExecutor` is the :class:`~repro.parallel.executor.EngineExecutor`
+for ranks in other processes.  A local pool starts one process per
+worker (``fork``, ``spawn`` or ``forkserver``) and talks to it over its
+end of a ``socket.socketpair()``; ``hosts=[...]`` dials pre-started
+``repro worker`` listeners (TCP ``host:port`` or unix socket paths)
+instead.  Both speak the same length-prefixed, CRC-framed messages and
+run the same worker serve loop, the same FIFO reply drain and the same
+cleanup.  The engine's step messages carry the same payloads here as on
+every other executor: each rank's ghost-region positions go out, its
 owned-force slab comes back.
 
 Wire format
@@ -13,7 +17,7 @@ Wire format
 Every message is exactly one :mod:`repro.state.format` frame (magic
 ``RSF1``, flags, length, CRC32) whose payload is a pickled
 ``(kind, body)`` tuple.  Pickle round-trips numpy float64 arrays
-bit-exactly (``tobytes`` semantics), which is what makes the cluster
+bit-exactly (``tobytes`` semantics), which is what makes the process
 data plane satisfy the engine's bitwise determinism contract; the frame
 CRC turns line corruption into a typed error instead of silently wrong
 physics.  Compression is off — positions/forces are high-entropy and
@@ -27,11 +31,11 @@ Corruption semantics reuse :mod:`repro.state.format`'s taxonomy:
   magic, CRC mismatch, undecodable payload); maps
   ``CorruptStateError``.
 
-Security note: the handshake ships a pickled host factory, so a worker
-will execute code from whoever connects to it.  This is the same trust
-model as MPI — run workers only on hosts you control, bound to
-interfaces you trust (the spawned-pool mode binds loopback/unix sockets
-only).
+Security note: in hosts mode the handshake ships a pickled host
+factory, so a ``repro worker`` will execute code from whoever connects
+to it.  This is the same trust model as MPI — run workers only on hosts
+you control, bound to interfaces you trust.  Local pools open no
+listening socket at all.
 """
 
 from __future__ import annotations
@@ -41,14 +45,13 @@ import multiprocessing as mp
 import os
 import pickle
 import socket
-import struct
-import tempfile
 import time
 import traceback
 import weakref
 from collections import deque
+from concurrent.futures import Future
 
-from repro.parallel.executor import ExecutorError, WorkerFailure, _ChannelFuture
+from repro.parallel.executor import ExecutorError, WorkerFailure
 from repro.state.format import (
     CorruptStateError,
     TruncatedStateError,
@@ -172,32 +175,52 @@ class FramedConnection:
 
 
 # ---------------------------------------------------------------------------
+# addresses
+# ---------------------------------------------------------------------------
+
+
+def parse_address(spec: str) -> tuple[int, object]:
+    """``(family, address)`` of a worker address string.
+
+    ``"host:port"`` is TCP (an empty host means loopback; port 0 asks
+    the kernel for a free one when listening); anything without a colon
+    is a unix-domain socket path.  A malformed address is a
+    :class:`TransportError` naming it.
+    """
+    if not isinstance(spec, str) or not spec.strip():
+        raise TransportError(f"empty worker address {spec!r}")
+    if ":" not in spec:
+        return socket.AF_UNIX, spec
+    host, _, port = spec.rpartition(":")
+    try:
+        number = int(port)
+    except ValueError:
+        number = -1
+    if not 0 <= number <= 65535:
+        raise TransportError(
+            f"bad address {spec!r}: port {port!r} is not an integer in 0..65535")
+    return socket.AF_INET, (host or "127.0.0.1", number)
+
+
+# ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
 
 
-def serve_worker_connection(conn: FramedConnection) -> None:
-    """Serve one engine session on an established connection.
+def _serve(conn: FramedConnection, host_factory) -> None:
+    """The worker serve loop: build the host, ack, serve until exit.
 
-    Protocol: the host sends ``("__init__", {worker, factory})``; the
-    worker builds the host object with ``factory()``, acks, then serves
-    ``(cmd, payload)`` messages until ``__exit__``/EOF.
-    ``__ping__`` echoes its payload (calibration RTTs) without touching
-    the host object.
+    The ack (or the factory's traceback) is the first reply.  Then
+    ``(cmd, payload)`` messages are answered in order until ``__exit__``
+    or EOF; ``__ping__`` echoes its payload (calibration RTTs) without
+    touching the host object.
     """
-    msg = conn.recv()
-    if msg is CLOSED:
-        return
-    kind, body = msg
-    if kind != "__init__":
-        raise TransportError(f"expected __init__ handshake, got {kind!r}")
-    host = None
     try:
-        host = body["factory"]()
+        host = host_factory()
     except Exception:
         conn.send(("error", traceback.format_exc()))
         return
-    conn.send(("ok", {"worker": body["worker"], "pid": os.getpid()}))
+    conn.send(("ok", os.getpid()))
     try:
         while True:
             msg = conn.recv()
@@ -219,16 +242,37 @@ def serve_worker_connection(conn: FramedConnection) -> None:
             close()
 
 
-def _socket_worker_main(family: int, address, token: str, worker: int) -> None:
-    """Entry point of a spawned cluster worker: dial home and serve."""
-    sock = socket.socket(family, socket.SOCK_STREAM)
-    sock.connect(address)
+def serve_worker_connection(conn: FramedConnection) -> None:
+    """Serve one engine session on an accepted ``repro worker`` connection.
+
+    The host opens with ``("__init__", {worker, factory})``; the session
+    is then the shared serve loop with that factory.
+    """
+    msg = conn.recv()
+    if msg is CLOSED:
+        return
+    kind, body = msg
+    if kind != "__init__":
+        raise TransportError(f"expected __init__ handshake, got {kind!r}")
+    _serve(conn, body["factory"])
+
+
+def _local_worker_main(sock: socket.socket, host_factory, inherited) -> None:
+    """Entry point of a local pool worker: serve on its socket-pair end.
+
+    ``inherited`` are the host-side connections a forked child copied
+    from its parent; closing them here lets every worker see EOF the
+    moment the host goes away.
+    """
+    for other in inherited:
+        other.close()
     conn = FramedConnection(sock)
     try:
-        conn.send(("__hello__", {"worker": worker, "token": token}))
-        serve_worker_connection(conn)
-    except (TornFrameError, CorruptFrameError):
+        _serve(conn, host_factory)
+    except TransportError:
         pass  # host died or stream broke; nothing to report to
+    except KeyboardInterrupt:  # pragma: no cover - interactive stop
+        pass
     finally:
         conn.close()
 
@@ -241,21 +285,27 @@ def run_worker(*, bind: str | None = None, unix: str | None = None,
     ``unix`` is a filesystem socket path.  Each accepted connection is
     one engine session (``__init__`` ... ``__exit__``); sessions are
     served one at a time.  ``once`` exits after the first session —
-    what the CI cluster-equivalence job uses.
+    what the CI cluster-equivalence job uses.  A malformed or busy
+    address is a :class:`TransportError` naming it.
     """
     if (bind is None) == (unix is None):
         raise TransportError("exactly one of bind='host:port' or unix=path required")
     if bind is not None:
-        host, _, port = bind.rpartition(":")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((host or "127.0.0.1", int(port)))
-        where = "%s:%d" % listener.getsockname()[:2]
+        family, address = parse_address(bind)
+        if family != socket.AF_INET:
+            raise TransportError(f"bad TCP address {bind!r} (expected HOST:PORT)")
     else:
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(unix)
-        where = unix
-    listener.listen(1)
+        family, address = socket.AF_UNIX, unix
+    listener = socket.socket(family, socket.SOCK_STREAM)
+    try:
+        if family == socket.AF_INET:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind(address)
+        listener.listen(1)
+    except OSError as exc:
+        listener.close()
+        raise TransportError(f"cannot listen on {bind or unix!r}: {exc}") from exc
+    where = "%s:%d" % listener.getsockname()[:2] if bind is not None else unix
     print(f"repro worker listening on {where}", flush=True)
     if _ready is not None:  # test hook: report the bound address
         _ready(listener.getsockname())
@@ -265,7 +315,7 @@ def run_worker(*, bind: str | None = None, unix: str | None = None,
             conn = FramedConnection(sock)
             try:
                 serve_worker_connection(conn)
-            except (TornFrameError, CorruptFrameError) as exc:
+            except TransportError as exc:
                 print(f"repro worker: session aborted: {exc}", flush=True)
             finally:
                 conn.close()
@@ -278,12 +328,38 @@ def run_worker(*, bind: str | None = None, unix: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# host side: the cluster executor
+# host side: the process executor
 # ---------------------------------------------------------------------------
 
 
-def _cleanup_cluster(conns, procs, listeners, paths) -> None:
-    """Finalizer: stop workers, close sockets, remove unix socket files."""
+class _ChannelFuture(Future):
+    """Future bound to one worker's reply stream.
+
+    Replies arrive strictly in submission order per worker, so
+    ``result()`` drains the worker's pending queue up to and including
+    this future.  Earlier futures resolved along the way become ``done``
+    without anyone waiting on them — the engine is free to collect
+    results in any order.
+    """
+
+    def __init__(self, executor: "ProcessExecutor", worker: int):
+        super().__init__()
+        self._executor = executor
+        self._worker = worker
+
+    def result(self, timeout=None):
+        if not self.done():
+            self._executor._drain_until(self._worker, self)
+        return super().result(timeout)
+
+    def exception(self, timeout=None):
+        if not self.done():
+            self._executor._drain_until(self._worker, self)
+        return super().exception(timeout)
+
+
+def _cleanup(conns, procs) -> None:
+    """Finalizer: stop workers, close sockets, reap local processes."""
     for conn in conns:
         try:
             conn.send(("__exit__", None))
@@ -296,69 +372,61 @@ def _cleanup_cluster(conns, procs, listeners, paths) -> None:
         if proc.is_alive():  # pragma: no cover - stuck worker safety net
             proc.terminate()
             proc.join(timeout=1.0)
-    for listener in listeners:
-        try:
-            listener.close()
-        except OSError:  # pragma: no cover
-            pass
-    for path in paths:  # socket file first, then its tmpdir
-        try:
-            if os.path.isdir(path):
-                os.rmdir(path)
-            elif os.path.exists(path):
-                os.unlink(path)
-        except OSError:  # pragma: no cover
-            pass
 
 
-class ClusterExecutor:
-    """:class:`EngineExecutor` over framed sockets.
+class ProcessExecutor:
+    """One worker process per worker, every message a framed socket frame.
 
-    Two deployment modes:
+    Parameters
+    ----------
+    workers:
+        Pool size; with ``hosts`` it may be ``None`` and must otherwise
+        equal the number of addresses.
+    start_method:
+        ``"fork"``, ``"spawn"`` or ``"forkserver"`` for a local pool;
+        default is fork where the platform offers it (nothing pickled),
+        else spawn (the host factory and everything it captures must
+        then pickle).
+    hosts:
+        Addresses of pre-started ``repro worker`` listeners, one worker
+        per address (``host:port`` or a unix socket path).  The host
+        factory travels pickled in the ``__init__`` handshake.
+    connect_timeout:
+        Seconds to keep retrying each ``hosts`` address.
 
-    - **Spawned pool** (default): ``workers`` local processes are
-      spawned and dial back over loopback TCP (``transport="tcp"``) or
-      a unix-domain socket (``transport="unix"``).  Functionally the
-      multi-node layout, with every byte crossing a real socket —
-      this is what the equivalence tests and CI pin down.
-    - **Pre-started listeners** (``hosts=[...]``): connect to
-      ``repro worker`` processes already listening at ``host:port``
-      addresses (one worker per address) — the actual multi-host mode.
-
-    Per step only halo-sized messages cross the sockets: the engine's
-    ghost-only step payloads and owned-force-slab replies.
+    Futures are lazy: replies are drained from a worker's socket in FIFO
+    order when ``result()`` is first called.  A worker that died fails
+    its queued futures, and any later submit to it, with
+    :class:`~repro.parallel.executor.WorkerFailure`.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        transport: str = "tcp",
-        hosts: list[str] | None = None,
-        start_method: str | None = None,
-        connect_timeout: float = 30.0,
-    ):
-        if transport not in ("tcp", "unix"):
-            raise ExecutorError(f"unknown transport {transport!r}; expected 'tcp' or 'unix'")
+    def __init__(self, workers: int | None = None, *, start_method: str | None = None,
+                 hosts: list[str] | None = None, connect_timeout: float = 30.0):
         self.hosts = list(hosts) if hosts else None
         if self.hosts:
             if workers is not None and workers != len(self.hosts):
                 raise ExecutorError(
                     f"workers={workers} disagrees with {len(self.hosts)} --hosts addresses")
-            self.workers = len(self.hosts)
-        else:
-            if workers is None or workers < 1:
-                raise ExecutorError("need at least one worker (or a hosts list)")
-            self.workers = int(workers)
-        self.transport = transport
+            try:
+                self._addresses = [parse_address(h) for h in self.hosts]
+            except TransportError as exc:
+                raise ExecutorError(f"--hosts: {exc}") from exc
+            workers = len(self.hosts)
+        elif workers is None or workers < 1:
+            raise ExecutorError("need at least one worker (or a hosts list)")
         if start_method is None:
             start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        if start_method not in mp.get_all_start_methods():
+            raise ExecutorError(
+                f"start method {start_method!r} not available on this platform "
+                f"(have: {', '.join(mp.get_all_start_methods())})"
+            )
+        self.workers = int(workers)
         self.start_method = start_method
         self.connect_timeout = float(connect_timeout)
         self._conns: list[FramedConnection] = []
         self._procs: list = []
         self._pending: list[deque] = []
-        self._tmpdir: str | None = None
         self._started = False
         self._shutdown = False
         self._finalizer = None
@@ -370,11 +438,9 @@ class ClusterExecutor:
             raise ExecutorError("executor already started")
         try:
             if self.hosts:
-                self._connect_listeners()
+                self._dial(host_factory)
             else:
-                self._spawn_pool()
-            for w, conn in enumerate(self._conns):
-                conn.send(("__init__", {"worker": w, "factory": host_factory}))
+                self._spawn(host_factory)
             for w, conn in enumerate(self._conns):
                 msg = conn.recv()
                 if msg is CLOSED:
@@ -382,125 +448,100 @@ class ClusterExecutor:
                 status, value = msg
                 if status != "ok":
                     raise WorkerFailure(w, value)
-        except Exception:
-            _cleanup_cluster(self._conns, self._procs, [], self._cleanup_paths())
+        except BaseException:
+            _cleanup(self._conns, self._procs)
             raise
         self._pending = [deque() for _ in range(self.workers)]
         self._started = True
-        self._finalizer = weakref.finalize(
-            self, _cleanup_cluster, self._conns, self._procs, [],
-            self._cleanup_paths())
+        self._finalizer = weakref.finalize(self, _cleanup, self._conns, self._procs)
 
-    def _cleanup_paths(self) -> list[str]:
-        if self._tmpdir is None:
-            return []
-        return [os.path.join(self._tmpdir, "cluster.sock"), self._tmpdir]
-
-    def _spawn_pool(self) -> None:
-        """Spawn local workers that dial back through a real socket."""
-        if self.transport == "tcp":
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.bind(("127.0.0.1", 0))
-            family, address = socket.AF_INET, listener.getsockname()
-        else:
-            self._tmpdir = tempfile.mkdtemp(prefix="repro-cluster-")
-            path = os.path.join(self._tmpdir, "cluster.sock")
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(path)
-            family, address = socket.AF_UNIX, path
-        listener.listen(self.workers)
-        listener.settimeout(self.connect_timeout)
-        token = os.urandom(8).hex()
+    def _spawn(self, host_factory) -> None:
+        """Start local workers, each on one end of a socket pair."""
         ctx = mp.get_context(self.start_method)
-        try:
-            for w in range(self.workers):
+        for w in range(self.workers):
+            host_sock, child_sock = socket.socketpair()
+            self._conns.append(FramedConnection(host_sock))
+            # a forked child copies every host end opened so far
+            inherited = list(self._conns) if self.start_method == "fork" else []
+            try:
                 proc = ctx.Process(
-                    target=_socket_worker_main,
-                    args=(int(family), address, token, w),
+                    target=_local_worker_main,
+                    args=(child_sock, host_factory, inherited),
                     daemon=True,
-                    name=f"repro-cluster-{w}",
+                    name=f"repro-exec-{w}",
                 )
                 proc.start()
-                self._procs.append(proc)
-            by_worker: dict[int, FramedConnection] = {}
-            for _ in range(self.workers):
-                try:
-                    sock, _ = listener.accept()
-                except socket.timeout:
-                    raise ExecutorError(
-                        f"cluster workers did not connect within {self.connect_timeout}s")
-                conn = FramedConnection(sock)
-                kind, hello = conn.recv()
-                if kind != "__hello__" or hello.get("token") != token:
-                    conn.close()
-                    raise ExecutorError("unexpected peer on the cluster listener")
-                by_worker[int(hello["worker"])] = conn
-            self._conns = [by_worker[w] for w in range(self.workers)]
-        finally:
-            listener.close()
+            finally:
+                child_sock.close()
+            self._procs.append(proc)
 
-    def _connect_listeners(self) -> None:
-        """Dial pre-started ``repro worker`` listeners (hosts mode)."""
-        for w, spec in enumerate(self.hosts):
-            if ":" in spec:
-                host, _, port = spec.rpartition(":")
-                family, address = socket.AF_INET, (host or "127.0.0.1", int(port))
-            else:  # a unix socket path
-                family, address = socket.AF_UNIX, spec
+    def _dial(self, host_factory) -> None:
+        """Connect to pre-started ``repro worker`` listeners and ship the
+        host factory in the ``__init__`` handshake."""
+        for w, (spec, (family, address)) in enumerate(zip(self.hosts, self._addresses)):
             deadline = time.monotonic() + self.connect_timeout
             while True:
                 sock = socket.socket(family, socket.SOCK_STREAM)
                 try:
                     sock.connect(address)
                     break
-                except OSError:
+                except OSError as exc:
                     sock.close()
                     if time.monotonic() >= deadline:
                         raise ExecutorError(
                             f"cannot reach worker {w} at {spec!r} "
-                            f"within {self.connect_timeout}s")
+                            f"within {self.connect_timeout}s: {exc}") from exc
                     time.sleep(0.05)
             self._conns.append(FramedConnection(sock))
+            self._conns[-1].send(("__init__", {"worker": w, "factory": host_factory}))
 
     # -- dispatch -----------------------------------------------------------------
 
-    def submit(self, worker: int, cmd: str, payload: object = None):
+    def submit(self, worker: int, cmd: str, payload: object = None) -> Future:
         if not self._started or self._shutdown:
             raise ExecutorError("executor not started (or shut down)")
         try:
             self._conns[worker].send((cmd, payload))
         except TransportError as exc:
-            raise WorkerFailure(worker, f"worker connection lost: {exc}") from exc
+            # the worker is gone: resolve what it answered before it
+            # died, fail everything else queued on it, and fail this
+            # command's future the same way
+            pending = self._pending[worker]
+            if pending:
+                self._drain_until(worker, pending[-1])
+            fut = Future()
+            fut.set_exception(WorkerFailure(worker, f"worker process died: {exc}"))
+            return fut
         fut = _ChannelFuture(self, worker)
         self._pending[worker].append(fut)
         return fut
 
-    def _drain_until(self, worker: int, fut) -> None:
+    def _drain_until(self, worker: int, fut: _ChannelFuture) -> None:
         """Receive replies (FIFO per worker) until `fut` is resolved."""
         pending = self._pending[worker]
         while not fut.done():
             if not pending:  # pragma: no cover - internal invariant
                 raise ExecutorError("future already drained but not done")
-            head = pending.popleft()
             try:
                 msg = self._conns[worker].recv()
-            except (TornFrameError, CorruptFrameError) as exc:
-                detail = f"worker connection failed: {exc}"
-                head.set_exception(WorkerFailure(worker, detail))
-                while pending:
-                    pending.popleft().set_exception(WorkerFailure(worker, detail))
+            except TransportError as exc:
+                self._fail_pending(worker, f"worker process died: {exc}")
                 return
             if msg is CLOSED:
-                detail = "worker process died: connection closed"
-                head.set_exception(WorkerFailure(worker, detail))
-                while pending:
-                    pending.popleft().set_exception(WorkerFailure(worker, detail))
+                self._fail_pending(worker, "worker process died: connection closed")
                 return
             status, value = msg
+            head = pending.popleft()
             if status == "error":
                 head.set_exception(WorkerFailure(worker, value))
             else:
                 head.set_result(value)
+
+    def _fail_pending(self, worker: int, detail: str) -> None:
+        """Fail every future queued on a dead worker."""
+        pending = self._pending[worker]
+        while pending:
+            pending.popleft().set_exception(WorkerFailure(worker, detail))
 
     # -- measurement --------------------------------------------------------------
 
@@ -516,7 +557,8 @@ class ClusterExecutor:
 
         This is the measured replacement for the analytic fabric
         constants: one-way time is taken as RTT/2 over the actual frame
-        bytes on the wire.
+        bytes on the wire.  The model is named after what it measured:
+        ``measured-hosts`` or ``measured-<start method>``.
         """
         from repro.perf.network import fit_network_model
 
@@ -529,11 +571,11 @@ class ClusterExecutor:
             for _ in range(repeats):
                 sent0 = conn.bytes_sent
                 t0 = time.perf_counter()
-                fut = self.submit(0, "__ping__", blob)
-                fut.result()
+                self.submit(0, "__ping__", blob).result()
                 rtt = time.perf_counter() - t0
                 samples.append((conn.bytes_sent - sent0, rtt / 2.0))
-        return fit_network_model(samples, name=f"measured-{self.transport}")
+        label = "hosts" if self.hosts else self.start_method
+        return fit_network_model(samples, name=f"measured-{label}")
 
     def shutdown(self) -> None:
         if self._shutdown:
@@ -541,4 +583,4 @@ class ClusterExecutor:
         self._shutdown = True
         if self._finalizer is not None:
             self._finalizer.detach()
-        _cleanup_cluster(self._conns, self._procs, [], self._cleanup_paths())
+        _cleanup(self._conns, self._procs)

@@ -16,7 +16,7 @@ Now there is one declarative, schema-versioned description:
     (precision), parameter set, interaction cache, compute backend.
 :class:`RunSpec`
     *How* it runs — a :class:`SolverSpec` plus execution topology
-    (workers/ranks/sort), executor/transport selection and the
+    (workers/ranks/sort), executor/hosts selection and the
     neighbor skin.
 
 Both serialize to canonical JSON-able dicts (:meth:`SolverSpec.to_dict`)

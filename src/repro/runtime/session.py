@@ -60,7 +60,7 @@ def build_simulation(
 
     ``potential`` optionally injects an already-built (possibly
     wrapped, e.g. sanitized) potential; by default the run's solver
-    spec is built.  Executor resolution — hosts mode, transport pools,
+    spec is built.  Executor resolution — hosts mode or
     plain names — happens through :meth:`RunSpec.build_executor`.
     """
     from repro.md.neighbor import NeighborSettings

@@ -40,8 +40,9 @@ _PARAM_SETS: dict[str, tuple[str, ...]] = {
     "sw": ("Si",),
 }
 
-_EXECUTORS = ("serial", "thread", "process", "fork", "spawn", "forkserver", "tcp", "unix")
-_TRANSPORTS = ("tcp", "unix")
+#: Executor names a run spec (and ``repro run --executor``) accepts; the
+#: start methods pick the process executor's start method.
+EXECUTORS = ("serial", "thread", "process", "fork", "spawn", "forkserver")
 
 
 class SpecError(ValueError):
@@ -206,10 +207,11 @@ class SolverSpec:
 class RunSpec:
     """How a solver runs: spec + execution topology.
 
-    ``workers``/``ranks``/``sort`` select the PR-4 parallel engine
-    (physics depends only on ranks/sort, never workers), ``executor``/
-    ``transport``/``hosts`` the PR-7/9 execution backend, ``skin`` the
-    neighbor-list build margin.
+    ``workers``/``ranks``/``sort`` select the parallel engine (physics
+    depends only on ranks/sort, never workers), ``executor`` or
+    ``hosts`` the execution backend (``hosts`` dials ``repro worker``
+    listeners through the process executor), ``skin`` the neighbor-list
+    build margin.
     """
 
     solver: SolverSpec = field(default_factory=SolverSpec)
@@ -217,7 +219,6 @@ class RunSpec:
     ranks: int | None = None
     sort: bool = False
     executor: str | None = None
-    transport: str | None = None
     hosts: tuple[str, ...] | None = None
     skin: float = 1.0
 
@@ -234,20 +235,12 @@ class RunSpec:
             raise SpecError("ranks must be >= 1")
         if self.skin < 0.0:
             raise SpecError("skin must be non-negative")
-        if self.executor is not None and self.executor not in _EXECUTORS:
+        if self.executor is not None and self.executor not in EXECUTORS:
             raise SpecError(
-                f"unknown executor {self.executor!r} (expected one of {_EXECUTORS})"
-            )
-        if self.transport is not None and self.transport not in _TRANSPORTS:
-            raise SpecError(
-                f"unknown transport {self.transport!r} (expected one of {_TRANSPORTS})"
+                f"unknown executor {self.executor!r} (expected one of {EXECUTORS})"
             )
         if self.hosts is not None and self.executor is not None:
-            raise SpecError("--hosts already selects the cluster executor; drop --executor")
-        if self.transport is not None and self.executor not in (None, self.transport):
-            raise SpecError(
-                f"conflicting flags: --executor {self.executor} vs --transport {self.transport}"
-            )
+            raise SpecError("--hosts already selects the process executor; drop --executor")
 
     # ---- serialization -------------------------------------------------------
 
@@ -259,7 +252,6 @@ class RunSpec:
             "ranks": self.ranks,
             "sort": self.sort,
             "executor": self.executor,
-            "transport": self.transport,
             "hosts": None if self.hosts is None else list(self.hosts),
             "skin": self.skin,
         }
@@ -272,9 +264,15 @@ class RunSpec:
         if "solver" not in data:
             raise SpecError("run spec is missing its solver section")
         kwargs: dict = {"solver": SolverSpec.from_dict(data["solver"])}
-        for key in ("workers", "ranks", "sort", "executor", "transport", "hosts", "skin"):
+        for key in ("workers", "ranks", "sort", "executor", "hosts", "skin"):
             if key in data:
                 kwargs[key] = data[key]
+        # older builds pinned the socket transport as its own executor
+        # ("tcp"/"unix") or a "transport" field; the executor never
+        # changes the physics, so those runs resume on the process
+        # executor (hosts alone already selects it)
+        if kwargs.get("executor") in ("tcp", "unix") or data.get("transport") is not None:
+            kwargs["executor"] = None if kwargs.get("hosts") else "process"
         return cls(**kwargs)
 
     def canonical_json(self) -> str:
@@ -289,10 +287,10 @@ class RunSpec:
 
         Recognized attributes (all optional): ``potential``, ``mode``,
         ``no_cache``, ``backend``, ``workers``, ``ranks``,
-        ``sort_domains``, ``executor``, ``transport``, ``hosts``,
-        ``skin``.  This is the *one* place CLI flags become a spec —
-        the three copies of keyword threading (`repro run`,
-        `repro bench run`, the restart path) all call it.
+        ``sort_domains``, ``executor``, ``hosts``, ``skin``.  This is
+        the *one* place CLI flags become a spec — the three copies of
+        keyword threading (`repro run`, `repro bench run`, the restart
+        path) all call it.
         """
         hosts = getattr(args, "hosts", None)
         if isinstance(hosts, str):
@@ -309,7 +307,6 @@ class RunSpec:
             ranks=getattr(args, "ranks", None),
             sort=getattr(args, "sort_domains", False),
             executor=getattr(args, "executor", None),
-            transport=getattr(args, "transport", None),
             hosts=hosts,
             skin=getattr(args, "skin", 1.0),
         )
@@ -325,21 +322,16 @@ class RunSpec:
     def build_executor(self):
         """Resolve the executor selection to ``(executor, workers)``.
 
-        ``hosts`` builds a connected
-        :class:`~repro.parallel.transport.ClusterExecutor` (one worker
-        per address) and fixes the worker count to the address list;
-        ``transport`` alone selects the spawned local socket pool;
-        plain executor names pass through.
+        ``hosts`` builds a :class:`~repro.parallel.transport.ProcessExecutor`
+        that dials those listeners (one worker per address) and fixes
+        the worker count to the address list; executor names pass
+        through.
         """
         if self.hosts:
-            from repro.parallel.transport import ClusterExecutor
+            from repro.parallel.transport import ProcessExecutor
 
-            executor = ClusterExecutor(
-                self.workers, transport=self.transport or "tcp", hosts=list(self.hosts)
-            )
+            executor = ProcessExecutor(self.workers, hosts=list(self.hosts))
             return executor, len(self.hosts)
-        if self.transport:
-            return self.transport, self.workers
         return self.executor, self.workers
 
     def build_simulation(self, system, **kwargs):

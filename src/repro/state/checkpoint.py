@@ -125,7 +125,7 @@ class Checkpoint:
 
         New checkpoints carry the full spec under
         ``user_meta["run_spec"]`` — potential, mode, cache, backend,
-        executor, workers/ranks/sort, transport and skin all round-trip,
+        executor, workers/ranks/sort, hosts and skin all round-trip,
         so ``--restart-from`` reproduces the original configuration
         instead of silently falling back to CLI defaults.  Legacy
         checkpoints (pre-runtime ``user_meta["run_config"]``) are

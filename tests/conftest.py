@@ -7,6 +7,8 @@ to modify a system.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,48 @@ def si_reference_222(si_params, si_lattice_222, si_neigh_222):
 @pytest.fixture(scope="session")
 def sic_reference(sic_params, sic_lattice, sic_neigh):
     return TersoffReference(sic_params).compute(sic_lattice, sic_neigh)
+
+
+class _Listeners:
+    """Threaded ``repro worker`` listeners serving one session each.
+
+    Call with listen addresses — ``host:port`` (port 0 picks a free
+    one) or a unix socket path — to get the dialable ``hosts``
+    addresses back; :meth:`join` waits for every session to end.
+    """
+
+    def __init__(self):
+        self.threads = []
+
+    def __call__(self, specs):
+        from repro.parallel.transport import run_worker
+
+        addrs = []
+        for spec in specs:
+            bound = []
+            ready = threading.Event()
+            t = threading.Thread(
+                target=run_worker,
+                kwargs={("bind" if ":" in spec else "unix"): spec, "once": True,
+                        "_ready": lambda addr, b=bound, ev=ready: (b.append(addr), ev.set())},
+                daemon=True,
+            )
+            t.start()
+            self.threads.append(t)
+            assert ready.wait(10.0), "worker never bound its socket"
+            addrs.append("%s:%d" % bound[0] if isinstance(bound[0], tuple) else bound[0])
+        return addrs
+
+    def join(self):
+        for t in self.threads:
+            t.join(timeout=10.0)
+            assert not t.is_alive(), "listener still serving after its session"
+
+
+@pytest.fixture
+def worker_listeners():
+    """:class:`_Listeners`; teardown asserts every listener exited, i.e.
+    its session ended when the executor shut down."""
+    listeners = _Listeners()
+    yield listeners
+    listeners.join()

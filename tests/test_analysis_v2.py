@@ -731,6 +731,33 @@ class TestKC002ExecutorLifecycle:
         assert "KC002" not in rules_of(res)
         assert any(f.rule == "KC002" for f in res.suppressed)
 
+    def test_constructor_list_is_the_executors_that_exist(self):
+        """KC002 watches exactly the engine executors repro defines (plus
+        the stdlib pools): no stale name, no unwatched executor."""
+        import concurrent.futures
+        import multiprocessing.pool
+
+        import repro.parallel as par
+        from repro.analysis.rules import _EXECUTOR_CTORS
+
+        stdlib = {n for n in _EXECUTOR_CTORS
+                  if hasattr(concurrent.futures, n) or hasattr(multiprocessing.pool, n)}
+        ours = {n for n in par.__all__
+                if n.endswith("Executor") and n != "EngineExecutor"} | {"make_executor"}
+        assert _EXECUTOR_CTORS == stdlib | ours
+
+    def test_hosts_mode_process_executor_is_checked(self, tmp_path):
+        res = lint_source(
+            tmp_path,
+            """
+            def run(engine_factory, hosts):
+                ex = ProcessExecutor(hosts=hosts)
+                ex.start(engine_factory)
+                ex.shutdown()
+            """,
+        )
+        assert "KC002" in rules_of(res)
+
 
 # ----------------------------------------------------------------- KC003
 

@@ -1,19 +1,20 @@
-"""The cluster executor: real inter-process halo exchange over sockets.
+"""The process executor over real sockets: physics, hosts mode, crashes.
 
-Three contracts under test:
+Every worker process — a local child on a socket pair or a pre-started
+``repro worker`` listener — speaks the same framed-socket protocol.
+The executor conformance battery lives in ``tests/test_executors.py``;
+the contracts under test here are:
 
-1. **Executor conformance** — :class:`ClusterExecutor` behaves like the
-   other :class:`EngineExecutor` implementations (FIFO futures, remote
-   tracebacks as :class:`WorkerFailure`, idempotent shutdown) while
-   actually running every worker in a separate process behind a framed
-   socket.
-2. **Bitwise physics over the wire** — a 2-rank engine on localhost TCP
-   reproduces the serial executor's energy, forces, and virial to the
-   byte, across precisions x cache on/off, through multiple
-   redecomposition boundaries, and through a checkpoint/restart cycle.
-3. **Crash containment** — SIGKILL of one rank surfaces as a typed
+1. **Bitwise physics over the wire** — a 2-rank engine on the process
+   executor reproduces the serial executor's energy, forces, and virial
+   to the byte, across precisions x cache on/off, through multiple
+   redecomposition boundaries, and through a checkpoint/restart cycle;
+   so do the thread executor, a spawn pool and a hosts-mode engine
+   dialing ``repro worker`` over TCP.
+2. **Crash containment** — SIGKILL of one rank surfaces as a typed
    failure, the engine closes, and nothing is orphaned: no socket
-   files, no tmpdirs, no worker processes, no shared-memory segments.
+   files, no tmpdirs, no open sockets, no worker processes, no
+   shared-memory segments.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import glob
 import os
 import signal
-import threading
+import tempfile
 
 import numpy as np
 import pytest
@@ -33,8 +34,8 @@ from repro.md.lattice import diamond_lattice, perturbed, seeded_velocities
 from repro.md.neighbor import NeighborSettings
 from repro.md.simulation import Simulation
 from repro.parallel.engine import ParallelEngine, WorkerCrash
-from repro.parallel.executor import ExecutorError, WorkerFailure
-from repro.parallel.transport import ClusterExecutor, run_worker
+from repro.parallel.executor import WorkerFailure
+from repro.parallel.transport import ProcessExecutor
 from repro.perf.network import fit_network_model
 from repro.state import load_checkpoint, restore_simulation, save_checkpoint
 
@@ -59,64 +60,21 @@ class EchoFactory:
         return _EchoHost()
 
 
+class FailingFactory:
+    def __call__(self):
+        raise RuntimeError("factory refused")
+
+
 def _shm_segments():
     return set(glob.glob("/dev/shm/repro_exec*"))
 
 
-# ---------------------------------------------------------------------------
-# 1. executor conformance
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(params=["tcp", "unix"])
-def cluster2(request):
-    ex = ClusterExecutor(2, transport=request.param)
-    ex.start(EchoFactory())
-    yield ex
-    ex.shutdown()
-
-
-class TestClusterExecutorConformance:
-    def test_workers_run_in_other_processes(self, cluster2):
-        pids = {cluster2.submit(w, "pid", None).result() for w in range(2)}
-        assert len(pids) == 2
-        assert os.getpid() not in pids
-
-    def test_fifo_per_worker(self, cluster2):
-        futs = [cluster2.submit(0, "echo", i) for i in range(5)]
-        assert [f.result() for f in futs] == list(range(5))
-
-    def test_arrays_roundtrip_bitwise(self, cluster2):
-        arr = np.array([np.nan, -0.0, 5e-324, 1.0 / 3.0])
-        out = cluster2.submit(0, "echo", arr).result()
-        assert out.tobytes() == arr.tobytes()
-
-    def test_remote_exception_carries_traceback(self, cluster2):
-        with pytest.raises(WorkerFailure) as ei:
-            cluster2.submit(1, "boom", None).result()
-        assert "intentional cluster test error" in ei.value.remote_traceback
-        # the worker survives its own exception and keeps serving
-        assert cluster2.submit(1, "echo", "alive").result() == "alive"
-
-    def test_shutdown_idempotent_then_submit_refused(self):
-        ex = ClusterExecutor(2, transport="tcp")
-        ex.start(EchoFactory())
-        ex.shutdown()
-        ex.shutdown()  # second call is a no-op, not an error
-        with pytest.raises(ExecutorError):
-            ex.submit(0, "echo", 1)
-
-    def test_rejects_bad_configuration(self):
-        with pytest.raises(ExecutorError):
-            ClusterExecutor(0)
-        with pytest.raises(ExecutorError):
-            ClusterExecutor(2, transport="carrier-pigeon")
-        with pytest.raises(ExecutorError):
-            ClusterExecutor(3, hosts=["a:1", "b:2"])  # count disagrees
+def _tmp_entries():
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-*")))
 
 
 # ---------------------------------------------------------------------------
-# 2. bitwise physics over the wire
+# 1. bitwise physics over the wire
 # ---------------------------------------------------------------------------
 
 
@@ -154,19 +112,36 @@ class TestClusterEngineBitwise:
         system = perturbed(diamond_lattice(3, 3, 3), 0.05, seed=3)
         xs = drift_with_kicks(system)
         ref, n_ref = run_engine("serial", precision, cache, xs, system)
-        got, n_got = run_engine(
-            ClusterExecutor(2, transport="tcp"), precision, cache, xs, system)
+        got, n_got = run_engine(ProcessExecutor(2), precision, cache, xs, system)
         assert n_got == n_ref >= 4  # initial decomposition + 3 kicks
         for (e0, v0, f0), (e1, v1, f1) in zip(ref, got):
             assert e1 == e0
             assert v1 == v0
             assert f1.tobytes() == f0.tobytes()
 
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache", "nocache"])
+    @pytest.mark.parametrize("precision", ["double", "single", "mixed"])
+    def test_every_executor_matches_serial(self, precision, cache, worker_listeners):
+        """thread, spawn and hosts mode over real TCP framing (two
+        ``repro worker`` listeners on loopback) carry the serial
+        executor's physics too; fork is the default pool above."""
+        system = perturbed(diamond_lattice(3, 3, 3), 0.05, seed=3)
+        xs = drift_with_kicks(system)
+        ref, n_ref = run_engine("serial", precision, cache, xs, system)
+        hosts = ProcessExecutor(hosts=worker_listeners(["127.0.0.1:0", "127.0.0.1:0"]))
+        for executor in ("thread", "spawn", hosts):
+            got, n_got = run_engine(executor, precision, cache, xs, system)
+            assert n_got == n_ref >= 4
+            for (e0, v0, f0), (e1, v1, f1) in zip(ref, got):
+                assert e1 == e0, executor
+                assert v1 == v0, executor
+                assert f1.tobytes() == f0.tobytes(), executor
+
     def test_wire_traffic_is_measured_not_modeled(self):
         system = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=3)
         pot = TersoffProduction(tersoff_si())
         with ParallelEngine(system, pot, workers=2, ranks=2,
-                            executor=ClusterExecutor(2, transport="tcp")) as eng:
+                            executor=ProcessExecutor(2)) as eng:
             step = eng.compute(system.x)
             # real socket bytes moved in both directions, framing included
             assert step.bytes_wire is not None
@@ -226,41 +201,28 @@ def assert_bitwise_equal(sim, truth):
 
 class TestClusterRestartEquivalence:
     def test_restart_over_sockets_is_bitwise(self, si_params, tmp_path):
-        # truth: the default shared-memory engine, straight through
-        with build_sim(si_params, workers=2, ranks=2) as truth:
+        # truth: the in-process serial engine, straight through
+        with build_sim(si_params, workers=2, ranks=2, executor="serial") as truth:
             truth.run(N_STEPS)
 
-            # run K steps with ranks behind TCP sockets, checkpoint...
-            with build_sim(si_params, workers=2, ranks=2, executor="tcp") as sim:
+            # run K steps with ranks behind sockets, checkpoint...
+            with build_sim(si_params, workers=2, ranks=2, executor="process") as sim:
                 sim.run(K_STEPS)
                 save_checkpoint(sim, tmp_path / "k.ckpt")
 
             # ...and resume over sockets too: same trajectory, same bits
             ck = load_checkpoint(tmp_path / "k.ckpt")
             with restore_simulation(
-                ck, TersoffProduction(si_params), workers=2, executor="tcp"
+                ck, TersoffProduction(si_params), workers=2, executor="process"
             ) as resumed:
                 resumed.run(N_STEPS - K_STEPS)
                 assert_bitwise_equal(resumed, truth)
 
 
 class TestHostsMode:
-    def test_prestarted_workers_serve_the_engine(self, tmp_path):
+    def test_prestarted_workers_serve_the_engine(self, worker_listeners, tmp_path):
         # two `repro worker` listeners on unix sockets, one session each
-        paths = [str(tmp_path / f"w{i}.sock") for i in range(2)]
-        threads = []
-        for path in paths:
-            ready = threading.Event()
-            t = threading.Thread(
-                target=run_worker,
-                kwargs={"unix": path, "once": True,
-                        "_ready": lambda addr, ev=ready: ev.set()},
-                daemon=True,
-            )
-            t.start()
-            threads.append((t, ready))
-        for _, ready in threads:
-            assert ready.wait(10.0), "worker never bound its socket"
+        paths = worker_listeners([str(tmp_path / f"w{i}.sock") for i in range(2)])
 
         system = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=3)
         with ParallelEngine(system.copy(), TersoffProduction(tersoff_si()),
@@ -268,33 +230,29 @@ class TestHostsMode:
             ref = eng.compute(system.x)
             ref_energy, ref_forces = ref.energy, ref.forces.copy()
 
-        ex = ClusterExecutor(hosts=paths)
+        ex = ProcessExecutor(hosts=paths)
         with ParallelEngine(system.copy(), TersoffProduction(tersoff_si()),
                             workers=2, ranks=2, executor=ex) as eng:
             step = eng.compute(system.x)
             assert step.energy == ref_energy
             assert step.forces.tobytes() == ref_forces.tobytes()
 
-        for t, _ in threads:
-            t.join(timeout=10.0)
-            assert not t.is_alive()
+        worker_listeners.join()
         for path in paths:  # `once` sessions unlink their sockets
             assert not os.path.exists(path)
 
 
 # ---------------------------------------------------------------------------
-# 3. crash containment
+# 2. crash containment
 # ---------------------------------------------------------------------------
 
 
 class TestCrashContainment:
     def test_kill_one_rank_is_contained(self):
         shm_before = _shm_segments()
-        ex = ClusterExecutor(2, transport="unix")
+        tmp_before = _tmp_entries()
+        ex = ProcessExecutor(2)
         ex.start(EchoFactory())
-        tmpdir = ex._tmpdir
-        assert tmpdir is not None
-        assert os.path.exists(os.path.join(tmpdir, "cluster.sock"))
 
         victim = ex._procs[0]
         os.kill(victim.pid, signal.SIGKILL)
@@ -307,18 +265,19 @@ class TestCrashContainment:
         assert ex.submit(1, "echo", "ok").result() == "ok"
 
         ex.shutdown()
-        assert not os.path.exists(tmpdir), "orphan socket dir after shutdown"
         assert all(not p.is_alive() for p in ex._procs)
+        assert all(c._sock.fileno() == -1 for c in ex._conns), "open socket after shutdown"
+        assert _tmp_entries() == tmp_before, "orphan socket file or tmpdir"
         assert _shm_segments() == shm_before, "orphan shared memory"
 
     def test_engine_closes_and_cleans_after_worker_death(self):
         shm_before = _shm_segments()
-        ex = ClusterExecutor(2, transport="unix")
+        tmp_before = _tmp_entries()
+        ex = ProcessExecutor(2)
         system = perturbed(diamond_lattice(2, 2, 2), 0.05, seed=3)
         eng = ParallelEngine(system, TersoffProduction(tersoff_si()),
                              workers=2, ranks=2, executor=ex)
         eng.compute(system.x)
-        tmpdir = ex._tmpdir
 
         os.kill(ex._procs[1].pid, signal.SIGKILL)
         ex._procs[1].join(timeout=10.0)
@@ -326,9 +285,20 @@ class TestCrashContainment:
             eng.compute(system.x)
 
         assert eng.closed
-        assert not os.path.exists(tmpdir)
         assert all(not p.is_alive() for p in ex._procs)
+        assert all(c._sock.fileno() == -1 for c in ex._conns)
+        assert _tmp_entries() == tmp_before
         assert _shm_segments() == shm_before
+
+    def test_failed_start_leaves_nothing(self):
+        """A host factory that raises fails ``start`` with the remote
+        traceback and reaps every worker it had started."""
+        ex = ProcessExecutor(2)
+        with pytest.raises(WorkerFailure, match="factory refused"):
+            ex.start(FailingFactory())
+        assert len(ex._procs) == 2
+        assert all(not p.is_alive() for p in ex._procs)
+        assert all(c._sock.fileno() == -1 for c in ex._conns)
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +324,12 @@ class TestNetworkFit:
             fit_network_model([(100.0, 0.0), (200.0, -1.0)])
 
     def test_calibrate_measures_a_positive_fabric(self):
-        ex = ClusterExecutor(1, transport="unix")
+        ex = ProcessExecutor(1)
         ex.start(EchoFactory())
         try:
             net = ex.calibrate(sizes=(1 << 10, 1 << 14), repeats=2)
             assert net.latency_s >= 0.0
             assert net.bandwidth_Bps > 0.0
-            assert net.name == "measured-unix"
+            assert net.name == f"measured-{ex.start_method}"
         finally:
             ex.shutdown()

@@ -1,11 +1,12 @@
 """EngineExecutor conformance: one contract, many implementations.
 
-Every executor (serial, thread pool, fork-pool, spawn-pool) must satisfy identical
-semantics — arrays carried bitwise in payloads and replies, per-worker
-FIFO ordering, host exceptions (and dead workers) surfaced as
-:class:`WorkerFailure` carrying the remote traceback, idempotent
-shutdown — so the parallel engine's physics cannot depend on which one
-is plugged in.
+Every executor (serial, thread pool, the process executor over fork and
+spawn, and the process executor dialing ``repro worker`` hosts over TCP
+and a unix socket) must satisfy identical semantics — arrays carried
+bitwise in payloads and replies, per-worker FIFO ordering, host
+exceptions (and dead workers) surfaced as :class:`WorkerFailure`
+carrying the remote traceback, idempotent shutdown — so the parallel
+engine's physics cannot depend on which one is plugged in.
 """
 
 import multiprocessing as mp
@@ -17,12 +18,12 @@ import pytest
 from repro.parallel.executor import (
     EngineExecutor,
     ExecutorError,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     WorkerFailure,
     make_executor,
 )
+from repro.parallel.transport import ProcessExecutor, run_worker
 
 HAVE_FORK = "fork" in mp.get_all_start_methods()
 
@@ -53,16 +54,24 @@ class EchoFactory:
         return EchoHost()
 
 
-EXECUTORS = ["serial", "thread", "spawn"] + (["fork"] if HAVE_FORK else [])
+EXECUTORS = ["serial", "thread", "spawn"] + (["fork"] if HAVE_FORK else []) + ["hosts"]
+LOCAL_METHOD = "fork" if HAVE_FORK else "spawn"
+
+
+def two_hosts(worker_listeners, tmp_path):
+    """A hosts-mode executor on one TCP and one unix ``repro worker``."""
+    return ProcessExecutor(hosts=worker_listeners(["127.0.0.1:0", str(tmp_path / "w1.sock")]))
 
 
 @pytest.fixture(params=EXECUTORS)
-def started(request):
+def started(request, worker_listeners, tmp_path):
     """Each implementation, started with two workers."""
     if request.param == "serial":
         ex = SerialExecutor(2)
     elif request.param == "thread":
         ex = ThreadExecutor(2)
+    elif request.param == "hosts":
+        ex = two_hosts(worker_listeners, tmp_path)
     else:
         ex = ProcessExecutor(2, start_method=request.param)
     ex.start(EchoFactory())
@@ -141,6 +150,34 @@ class TestConformance:
             ex.start(EchoFactory())
 
 
+PROCESS_PATHS = ["spawn"] + (["fork"] if HAVE_FORK else []) + ["hosts"]
+
+
+def start_process_path(path, tmp_path):
+    """A started two-worker process executor on `path`, plus the two
+    worker processes behind it: its own children, or (hosts mode) two
+    ``repro worker`` listener processes on unix sockets."""
+    if path != "hosts":
+        ex = ProcessExecutor(2, start_method=path)
+        ex.start(EchoFactory())
+        return ex, ex._procs
+    ctx = mp.get_context(LOCAL_METHOD)
+    paths = [str(tmp_path / f"dead-w{i}.sock") for i in range(2)]
+    procs = [ctx.Process(target=run_worker, kwargs={"unix": p, "once": True}, daemon=True)
+             for p in paths]
+    for proc in procs:
+        proc.start()
+    ex = ProcessExecutor(hosts=paths)  # dialing retries until the listeners bind
+    try:
+        ex.start(EchoFactory())
+    except BaseException:
+        for proc in procs:
+            proc.kill()
+            proc.join()
+        raise
+    return ex, procs
+
+
 class TestProcessSpecific:
     @pytest.mark.parametrize("method", ["spawn"] + (["fork"] if HAVE_FORK else []))
     def test_work_runs_out_of_process(self, method):
@@ -151,43 +188,47 @@ class TestProcessSpecific:
         finally:
             ex.shutdown()
 
-    def test_dead_worker_fails_its_futures(self):
-        method = "fork" if HAVE_FORK else "spawn"
-        ex = ProcessExecutor(2, start_method=method)
-        try:
-            ex.start(EchoFactory())
-            dead = ex.submit(0, "die")
-            queued = ex.submit(0, "echo", "never")
-            with pytest.raises(WorkerFailure, match="worker process died"):
-                dead.result()
-            with pytest.raises(WorkerFailure):
-                queued.result()
-            # the other worker is unaffected
-            assert ex.submit(1, "echo", "ok").result()[0] == "ok"
-        finally:
-            ex.shutdown()
+    def test_dead_worker_fails_its_futures(self, tmp_path):
+        for path in PROCESS_PATHS:
+            ex, procs = start_process_path(path, tmp_path)
+            try:
+                dead = ex.submit(0, "die")
+                queued = ex.submit(0, "echo", "never")
+                with pytest.raises(WorkerFailure, match="worker process died"):
+                    dead.result()
+                with pytest.raises(WorkerFailure):
+                    queued.result()
+                # the other worker is unaffected
+                assert ex.submit(1, "echo", "ok").result()[0] == "ok", path
+            finally:
+                ex.shutdown()
+                for proc in procs:
+                    proc.join(timeout=10.0)
+            assert not any(proc.is_alive() for proc in procs), path
 
-    def test_submit_to_exited_worker_is_worker_failure(self):
+    def test_submit_to_exited_worker_is_worker_failure(self, tmp_path):
         """Sending to a worker whose process has already exited yields
-        the typed failure, not the pipe's OS error, and fails the
-        worker's queued future with it."""
-        method = "fork" if HAVE_FORK else "spawn"
-        ex = ProcessExecutor(2, start_method=method)
-        try:
-            ex.start(EchoFactory())
-            dead = ex.submit(0, "die")
-            ex._procs[0].join(timeout=30.0)
-            assert not ex._procs[0].is_alive()
-            with pytest.raises(WorkerFailure, match="worker process died"):
-                ex.submit(0, "echo", "never").result()
-            assert dead.done()
-            with pytest.raises(WorkerFailure, match="worker process died"):
-                dead.result()
-            with pytest.raises(WorkerFailure):  # and it stays failed
-                ex.submit(0, "echo", "again").result()
-            assert ex.submit(1, "echo", "ok").result()[0] == "ok"
-        finally:
-            ex.shutdown()
+        the typed failure, not the socket's OS error, and fails the
+        worker's queued future with it — on every process path."""
+        for path in PROCESS_PATHS:
+            ex, procs = start_process_path(path, tmp_path)
+            try:
+                dead = ex.submit(0, "die")
+                procs[0].join(timeout=30.0)
+                assert not procs[0].is_alive(), path
+                with pytest.raises(WorkerFailure, match="worker process died"):
+                    ex.submit(0, "echo", "never").result()
+                assert dead.done(), path
+                with pytest.raises(WorkerFailure, match="worker process died"):
+                    dead.result()
+                with pytest.raises(WorkerFailure):  # and it stays failed
+                    ex.submit(0, "echo", "again").result()
+                assert ex.submit(1, "echo", "ok").result()[0] == "ok", path
+            finally:
+                ex.shutdown()
+                for proc in procs:
+                    proc.join(timeout=10.0)
+            assert not any(proc.is_alive() for proc in procs), path
 
     def test_serial_runs_in_process(self):
         ex = SerialExecutor(1)
@@ -231,9 +272,22 @@ class TestMakeExecutor:
         with pytest.raises(ExecutorError):
             ThreadExecutor(0)
 
+    def test_bad_process_configuration(self):
+        with pytest.raises(ExecutorError, match="start method"):
+            ProcessExecutor(2, start_method="carrier-pigeon")
+        with pytest.raises(ExecutorError, match="disagrees"):
+            ProcessExecutor(3, hosts=["a:1", "b:2"])
+        with pytest.raises(ExecutorError, match="127.0.0.1:abc"):
+            ProcessExecutor(hosts=["127.0.0.1:abc"])
+
+    def test_removed_socket_names_rejected(self):
+        for name in ("tcp", "unix"):
+            with pytest.raises(ExecutorError, match="unknown executor"):
+                make_executor(name, workers=2)
+
 
 class TestEngineAcrossExecutors:
-    def test_forces_bitwise_identical(self):
+    def test_forces_bitwise_identical(self, worker_listeners, tmp_path):
         """The engine's physics must not depend on the executor."""
         from repro.core.tersoff.parameters import tersoff_si
         from repro.core.tersoff.production import TersoffProduction
@@ -250,7 +304,8 @@ class TestEngineAcrossExecutors:
                 return step.energy, step.forces.copy()
 
         results = [run(ex) for ex in
-                   ("serial", "thread", "spawn", *(("fork",) if HAVE_FORK else ()))]
+                   ("serial", "thread", "spawn", *(("fork",) if HAVE_FORK else ()),
+                    two_hosts(worker_listeners, tmp_path))]
         e0, f0 = results[0]
         for energy, forces in results[1:]:
             assert energy == e0

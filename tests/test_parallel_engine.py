@@ -373,6 +373,8 @@ class TestGhostOnlyDataPlane:
             assert step.comm.bytes == step.bytes_forward + step.bytes_reverse
             assert step.comm.measured_time_s >= 0.0
             assert set(step.comm.by_stage) == {"forward", "reverse"}
-            # the process pool counts no socket bytes, so no wire bytes
-            assert step.bytes_wire is None
+            # the process executor counts its socket bytes, framing included
+            sent, received = step.bytes_wire
+            assert sent > step.bytes_forward > 0
+            assert received > step.bytes_reverse > 0
             assert eng.comm_total.messages == 2

@@ -150,8 +150,11 @@ class TestSpecValidation:
     def test_run_spec_conflicting_selectors(self):
         with pytest.raises(SpecError, match="hosts"):
             RunSpec(executor="thread", hosts=("h1", "h2"))
-        with pytest.raises(SpecError, match="conflicting"):
-            RunSpec(executor="thread", transport="tcp")
+
+    @pytest.mark.parametrize("name", ["tcp", "unix"])
+    def test_socket_executor_names_are_gone(self, name):
+        with pytest.raises(SpecError, match="unknown executor"):
+            RunSpec(executor=name)
 
 
 class TestRunSpec:
@@ -164,7 +167,7 @@ class TestRunSpec:
         assert RunSpec.from_dict(json.loads(run.canonical_json())) == run
 
     def test_hosts_round_trip(self):
-        run = RunSpec(hosts=["a:1", "b:2"], transport="tcp")
+        run = RunSpec(hosts=["a:1", "b:2"])
         again = RunSpec.from_dict(run.to_dict())
         assert again.hosts == ("a:1", "b:2")
         assert again == run
@@ -173,7 +176,7 @@ class TestRunSpec:
         args = argparse.Namespace(
             potential="tersoff", mode="Opt-S", no_cache=True, backend=None,
             workers=2, ranks=4, sort_domains=True, executor="thread",
-            transport=None, hosts=None, skin=2.0,
+            hosts=None, skin=2.0,
         )
         run = RunSpec.from_args(args)
         assert run.solver == SolverSpec(mode="Opt-S", cache=False)
@@ -188,6 +191,16 @@ class TestRunSpec:
     def test_from_args_splits_host_strings(self):
         run = RunSpec.from_args(argparse.Namespace(hosts="a:1, b:2,"))
         assert run.hosts == ("a:1", "b:2")
+
+    def test_cli_executor_choices_are_the_spec_names(self):
+        from repro.cli import build_parser
+        from repro.runtime.spec import EXECUTORS
+
+        parser = build_parser()
+        run = parser._subparsers._group_actions[0].choices["run"]
+        (action,) = [a for a in run._actions if a.dest == "executor"]
+        assert tuple(action.choices) == EXECUTORS
+        assert not [a for a in run._actions if a.dest == "transport"]
 
     def test_with_overrides(self):
         run = RunSpec(workers=2, executor="thread")
@@ -217,3 +230,45 @@ class TestRunSpec:
         sim_b.run(3)
         assert np.array_equal(sim_a.system.x, sim_b.system.x)
         assert np.array_equal(sim_a.system.v, sim_b.system.v)
+
+
+# exactly what a build that still had the socket-transport knob pinned
+# into checkpoints for `repro run --workers 2 --executor tcp` and for
+# `repro run --hosts a:1,b:2 --transport tcp`
+_SOLVER = {"backend": None, "cache": True, "mode": "Opt-M", "params_set": "default",
+           "potential": "tersoff", "schema": 1}
+PINNED_EXECUTOR_TCP = {"executor": "tcp", "hosts": None, "ranks": None, "schema": 1,
+                       "skin": 1.0, "solver": _SOLVER, "sort": False, "transport": None,
+                       "workers": 2}
+PINNED_HOSTS_TCP = {"executor": None, "hosts": ["a:1", "b:2"], "ranks": None, "schema": 1,
+                    "skin": 1.0, "solver": _SOLVER, "sort": False, "transport": "tcp",
+                    "workers": None}
+
+
+class TestLegacySocketSpecs:
+    """Old checkpoints keep restarting: the executor never changes the
+    physics, so a pinned socket transport resumes on the process
+    executor under the same schema version."""
+
+    @pytest.mark.parametrize("name", ["tcp", "unix"])
+    def test_socket_executor_resumes_on_process(self, name):
+        run = RunSpec.from_dict({**PINNED_EXECUTOR_TCP, "executor": name})
+        assert run.executor == "process"
+        assert run.workers == 2 and run.hosts is None
+        assert run.solver == SolverSpec()
+        assert run.build_executor() == ("process", 2)
+
+    def test_pinned_transport_without_hosts_resumes_on_process(self):
+        run = RunSpec.from_dict({**PINNED_EXECUTOR_TCP, "executor": None, "transport": "unix"})
+        assert run.executor == "process"
+
+    def test_hosts_with_transport_keep_their_hosts(self):
+        run = RunSpec.from_dict(PINNED_HOSTS_TCP)
+        assert run.hosts == ("a:1", "b:2")
+        assert run.executor is None
+
+    def test_round_trip_drops_the_transport_field(self):
+        data = RunSpec.from_dict(PINNED_EXECUTOR_TCP).to_dict()
+        assert "transport" not in data
+        assert data["schema"] == RUNTIME_SCHEMA_VERSION == 1
+        assert RunSpec.from_dict(data).executor == "process"

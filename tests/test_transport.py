@@ -10,6 +10,7 @@ honest byte counters, and the corruption taxonomy — a torn stream is
 the :data:`CLOSED` sentinel, never an exception.
 """
 
+import os
 import socket
 import struct
 import threading
@@ -22,8 +23,11 @@ from repro.parallel.transport import (
     CorruptFrameError,
     FramedConnection,
     TornFrameError,
+    TransportError,
     decode_message,
     encode_message,
+    parse_address,
+    run_worker,
 )
 from repro.state.format import _HEADER
 
@@ -166,3 +170,25 @@ class TestFrameHeaderAssumption:
         # the torn/corrupt byte surgery above assumes the RSF1 layout;
         # if state.format ever changes it, fail loudly here
         assert _HEADER.size == struct.calcsize("<4sBII")
+
+
+class TestAddresses:
+    def test_tcp_and_unix(self):
+        assert parse_address("node7:5810") == (socket.AF_INET, ("node7", 5810))
+        assert parse_address(":0") == (socket.AF_INET, ("127.0.0.1", 0))
+        assert parse_address("/tmp/w0.sock") == (socket.AF_UNIX, "/tmp/w0.sock")
+
+    @pytest.mark.parametrize("spec", ["127.0.0.1:abc", "h:-1", "h:65536", "h:", ""])
+    def test_malformed_is_typed_and_named(self, spec):
+        with pytest.raises(TransportError) as ei:
+            parse_address(spec)
+        assert repr(spec) in str(ei.value)
+
+    def test_failed_bind_closes_the_listener(self, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("")
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(TransportError, match="taken"):
+            run_worker(unix=str(path), once=True)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert path.exists()  # someone else's file is never unlinked
