@@ -2,9 +2,13 @@
 
 Every worker process — a local child on a socket pair or a pre-started
 ``repro worker`` listener — speaks the same framed-socket protocol.
-The executor conformance battery lives in ``tests/test_executors.py``;
+The full executor conformance battery lives in ``tests/test_executors.py``;
 the contracts under test here are:
 
+0. **Hosts-mode transport** — a process executor dialing two
+   ``repro worker`` listeners, both over TCP or both over unix sockets,
+   runs each worker in its own process, keeps per-worker FIFO order and
+   carries arrays bitwise.
 1. **Bitwise physics over the wire** — a 2-rank engine on the process
    executor reproduces the serial executor's energy, forces, and virial
    to the byte, across precisions x cache on/off, through multiple
@@ -22,11 +26,14 @@ from __future__ import annotations
 import glob
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.tersoff.parameters import tersoff_si
 from repro.core.tersoff.production import TersoffProduction
 from repro.md.integrate import Langevin
@@ -71,6 +78,79 @@ def _shm_segments():
 
 def _tmp_entries():
     return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-*")))
+
+
+# ---------------------------------------------------------------------------
+# 0. hosts-mode transport, per socket family
+# ---------------------------------------------------------------------------
+
+
+LISTENING = "repro worker listening on "
+
+
+def start_worker_process(flag, spec):
+    """``python -m repro worker <flag> <spec> --once`` in its own process;
+    returns the process and the address it reports listening on.  The
+    worker imports ``repro`` and this module (to unpickle the host
+    factory) from the same places this process does."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, here, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", flag, spec, "--once"],
+        stdout=subprocess.PIPE, text=True, env=env)
+    line = proc.stdout.readline()
+    if not line.startswith(LISTENING):
+        proc.kill()
+        proc.wait()
+        pytest.fail(f"repro worker did not start: {line!r}")
+    return proc, line[len(LISTENING):].strip()
+
+
+@pytest.fixture(params=["tcp", "unix"])
+def cluster2(request, tmp_path):
+    """A hosts-mode executor on two ``repro worker`` processes listening
+    on one socket family."""
+    if request.param == "tcp":
+        specs = [("--bind", "127.0.0.1:0")] * 2
+    else:
+        specs = [("--unix", str(tmp_path / f"w{i}.sock")) for i in range(2)]
+    procs, addrs = [], []
+    try:
+        for flag, spec in specs:
+            proc, addr = start_worker_process(flag, spec)
+            procs.append(proc)
+            addrs.append(addr)
+        ex = ProcessExecutor(hosts=addrs)
+        ex.start(EchoFactory())
+        yield ex
+        ex.shutdown()
+        # a `--once` worker exits when its session ends
+        for proc in procs:
+            assert proc.wait(timeout=10.0) == 0
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+
+class TestClusterExecutorConformance:
+    def test_workers_run_in_other_processes(self, cluster2):
+        pids = {cluster2.submit(w, "pid", None).result() for w in range(2)}
+        assert len(pids) == 2
+        assert os.getpid() not in pids
+
+    def test_fifo_per_worker(self, cluster2):
+        futs = [cluster2.submit(0, "echo", i) for i in range(5)]
+        assert [f.result() for f in futs] == list(range(5))
+
+    def test_arrays_roundtrip_bitwise(self, cluster2):
+        arr = np.array([np.nan, -0.0, 5e-324, 1.0 / 3.0])
+        out = cluster2.submit(0, "echo", arr).result()
+        assert out.tobytes() == arr.tobytes()
 
 
 # ---------------------------------------------------------------------------
